@@ -1,4 +1,4 @@
-"""Fully instrumented ApproxKD run: events, spans, metrics, profiler.
+"""Fully instrumented ApproxKD run: events, spans, metrics, span profile.
 
 Trains a narrow ResNet20, quantizes it, attaches an approximate multiplier,
 and records everything the observability subsystem offers along the way:
@@ -21,8 +21,10 @@ and records everything the observability subsystem offers along the way:
   :class:`~repro.train.TelemetryCallback`;
 - :class:`~repro.obs.StatsHook` on every quantized GEMM layer, streaming
   per-epoch activation ranges into ``layer_stats`` events;
-- the hot-path profiler, whose :class:`~repro.obs.ProfileReport` shows
-  where the wall time went (LUT gathers, im2col, fake quantization).
+- the ``--profile`` span aggregation: the same spans are also folded per
+  name into metrics counters, and :func:`~repro.obs.profile_summary`
+  shows where the wall time went (LUT gathers, im2col, fake
+  quantization) with self time per span name.
 
 The approximate fine-tune is spelled out manually (clone, attach
 multiplier, train) rather than through ``approximation_stage`` so the
@@ -41,7 +43,8 @@ from repro.obs import (
     JsonlSink,
     attach_stats_hooks,
     detach_stats_hooks,
-    profiled,
+    profile_summary,
+    render_profile,
     set_event_log,
 )
 from repro.obs import metrics as met
@@ -69,14 +72,14 @@ def main() -> None:
     log.add_sink(JsonlSink(LOGFILE))
     previous = set_event_log(log)
     tr.reset_tracing()
-    tr.enable_tracing()
+    tr.enable_tracing(record=True, aggregate=True)
     met.reset_metrics()
     met.enable_metrics()
     log.run_start(
         command="examples/instrumented_training", config={"model": "resnet20/0.25"}
     )
     try:
-        with profiled() as profile, tr.span("instrumented_run"):
+        with tr.span("instrumented_run"):
             train_model(
                 model,
                 data,
@@ -126,7 +129,7 @@ def main() -> None:
                 f"eps_mean={stats.eps_mean:8.3f}  grad_norm={stats.grad_norm}"
             )
         print()
-        print(profile.to_table(top=8))
+        print(render_profile(profile_summary(), top=8))
 
         # Final metrics snapshot + exported Chrome trace, mirroring what
         # the CLI's --metrics/--trace flags do at run end.

@@ -5,14 +5,17 @@ Exercises the tracing + metrics subsystems end to end and fails loudly
 when any acceptance property regresses:
 
 1. **Overhead** — a representative eval workload is timed with all
-   observability off and again with tracing + metrics + event logging
-   enabled. Interleaved min-of-N timing; the instrumented run must stay
-   within the 5% budget (plus a small constant for sub-second runs).
+   observability off and again with span recording + ``--profile`` span
+   aggregation + metrics + event logging enabled. Interleaved min-of-N
+   timing; the instrumented run must stay within the 5% budget (plus a
+   small constant for sub-second runs).
 2. **Trace validity** — a run that fans Monte-Carlo error fitting out to
    a two-process pool must export a Chrome ``trace_event`` JSON whose
    spans cover >= 2 worker pids, every ``parallel.task`` span parents
    onto the dispatching span, and every parent_id resolves within the
-   trace.
+   trace. The same run aggregates spans as ``--profile`` does; the
+   workers' ``parallel.task`` rows must be merged into the parent's
+   profile.
 3. **Quantile bound** — per-batch eval latencies are recorded both into
    a plain Python list and the streaming histogram; the histogram's
    p50/p95/p99 must match ``numpy.quantile(..., method="inverted_cdf")``
@@ -43,7 +46,6 @@ from repro.ge import estimate_error_model
 from repro.models import create_model
 from repro.obs import events as obs_events
 from repro.obs import metrics as met
-from repro.obs import profiling as prof
 from repro.obs import trace as tr
 from repro.parallel import ParallelConfig, fork_available, map_workers
 from repro.quant import calibrate_model, quantize_model
@@ -88,7 +90,7 @@ def check_overhead(out_dir: Path) -> dict:
         log.add_sink(obs_events.CollectingSink())
         previous = obs_events.set_event_log(log)
         tr.reset_tracing()
-        tr.enable_tracing()
+        tr.enable_tracing(record=True, aggregate=True)
         met.reset_metrics()
         met.enable_metrics()
         try:
@@ -135,7 +137,7 @@ def check_trace(out_dir: Path) -> dict:
     log.add_sink(obs_events.JsonlSink(logfile, max_bytes=64 * 1024))
     previous = obs_events.set_event_log(log)
     tr.reset_tracing()
-    tr.enable_tracing()
+    tr.enable_tracing(record=True, aggregate=True)
     met.reset_metrics()
     met.enable_metrics()
     try:
@@ -170,15 +172,19 @@ def check_trace(out_dir: Path) -> dict:
     dangling = [
         s for s in spans if s.parent_id is not None and s.parent_id not in by_id
     ]
+    profile_rows = {r["name"]: r for r in tr.profile_summary()["timers"]}
+    profiled_tasks = profile_rows.get("parallel.task", {}).get("calls", 0)
     ok = (
         len(worker_pids) >= 2
         and len(tasks) >= 2
         and all(t.parent_id == root.span_id for t in tasks)
         and not dangling
+        and profiled_tasks == len(tasks)
     )
     print(
         f"trace: {len(spans)} spans, {len(worker_pids)} worker pid(s), "
-        f"{len(tasks)} task span(s), {len(dangling)} dangling parent(s) "
+        f"{len(tasks)} task span(s), {len(dangling)} dangling parent(s), "
+        f"{profiled_tasks} task(s) in the merged profile "
         f"-> {'OK' if ok else 'FAIL'}"
     )
     return {
@@ -186,6 +192,7 @@ def check_trace(out_dir: Path) -> dict:
         "worker_pids": sorted(worker_pids),
         "tasks": len(tasks),
         "dangling_parents": len(dangling),
+        "profiled_tasks": profiled_tasks,
         "tracefile": str(tracefile),
         "logfile": str(logfile),
         "ok": ok,
@@ -238,7 +245,6 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    prof.disable_profiling()
     results = {
         "overhead": check_overhead(out_dir),
         "trace": check_trace(out_dir),

@@ -33,7 +33,7 @@ from repro.approx.backend import (
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import GemmPlan, check_magnitude
 from repro.errors import MultiplierError, ShapeError
-from repro.obs import profiling as prof
+from repro.obs import metrics as met
 from repro.obs import trace as tr
 from repro.parallel import ParallelConfig, amortized_workers, map_workers
 
@@ -58,7 +58,7 @@ def exact_int_matmul(
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    with prof.timer("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
+    with tr.span("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
         y = get_backend(backend).exact_int(a, b)
         if y is None:
             y = tiered_exact_int_matmul(a, b)
@@ -77,7 +77,7 @@ def exact_int_matmul_cached(a: np.ndarray, b: np.ndarray, cache: dict) -> np.nda
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    with prof.timer("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
+    with tr.span("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
         if not (a.size and b.size):
             return a.astype(np.int64) @ b.astype(np.int64)
         bmax = cache.get("absmax")
@@ -178,7 +178,7 @@ def approx_matmul(
             blocks = min(num_workers, -(-a.shape[0] // ROW_BLOCK))
             bounds = np.linspace(0, a.shape[0], blocks + 1, dtype=int)
             rows = [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-            with prof.timer("approx.matmul_chunked", nbytes=a.nbytes + b.nbytes):
+            with tr.span("approx.matmul_chunked", nbytes=a.nbytes + b.nbytes):
                 parts = map_workers(
                     lambda block: _run_block(block, b, multiplier, xhi, whi, plan),
                     rows,
@@ -223,7 +223,7 @@ def _approx_matmul_block(
     n = b.shape[1]
     gathered: list[np.ndarray] = []
     masks: list[np.ndarray] = []
-    with prof.timer("approx.lut_gather", nbytes=a.nbytes + b.nbytes):
+    with tr.span("approx.lut_gather", nbytes=a.nbytes + b.nbytes):
         for v in range(1, whi + 1):
             # v = 0 contributes g̃(a, 0) = 0 under sign-magnitude evaluation.
             pos = b == v
@@ -238,13 +238,9 @@ def _approx_matmul_block(
             masks.append(mask)
     if not gathered:
         return np.zeros((m, n), dtype=np.int64)
-    prof.count(
-        "approx.lut_gathered_values",
-        n=len(gathered),
-        nbytes=len(gathered) * m * k * itemsize,
-    )
+    met.inc("approx.lut_gathered_values", len(gathered))
     # One fused BLAS call over all active weight values.
-    with prof.timer(
+    with tr.span(
         "approx.matmul_blas", nbytes=len(gathered) * (m * k + k * n) * itemsize
     ):
         big_g = np.concatenate(gathered, axis=1)

@@ -28,8 +28,9 @@ sums cannot change them.
 :class:`PlanCache` is the per-layer memo keyed by a weight-version
 counter (see :class:`repro.nn.parameter.Parameter`); a training step
 bumps the version, so a stale plan is impossible by construction.
-Cache hits/misses/bytes are counted on the profiler registry
-(``approx.plan_cache_*``) and surfaced by ``repro report``.
+Cache hits/misses/revalidations/bypasses and plan builds, repairs and
+workspace allocations are counted on the metrics registry
+(``plan_cache.*``) and surfaced by ``repro report`` and Prometheus.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from repro.approx.multiplier import Multiplier
 from repro.errors import MultiplierError, ShapeError
 from repro.obs import metrics as met
-from repro.obs import profiling as prof
+from repro.obs import trace as tr
 
 # float32 partial sums of integer products are exact below 2^24 (the
 # mantissa bound); we gate at 2^23 to keep a 2x safety margin. The full
@@ -170,7 +171,7 @@ class WorkspacePool:
         buf = np.empty(rounded, dtype=dtype)
         with self._lock:
             self._allocated_bytes += buf.nbytes
-        prof.count("approx.plan_workspace_alloc", n=1, nbytes=buf.nbytes)
+        met.observe("plan_cache.workspace_alloc", buf.nbytes)
         return buf
 
     def give(self, buf: np.ndarray) -> None:
@@ -301,15 +302,15 @@ class GemmPlan:
         idx_buf = _workspace.take(m * k, np.dtype(np.int32))
         try:
             gathered = buf[: m * k * v].reshape(m * k, v)
-            with prof.timer("approx.lut_gather", nbytes=a.nbytes):
+            with tr.span("approx.lut_gather", nbytes=a.nbytes):
                 # Shift codes into LUT row indices in a pooled int32 buffer:
                 # xhi < 2^15, so the shifted index always fits, and skipping
                 # the intp conversion avoids a fresh m*k allocation per batch.
                 idx = idx_buf[: m * k].reshape(m, k)
                 np.add(a, self.xhi, out=idx, casting="unsafe")
                 np.take(self.lut_rows, idx.reshape(-1), axis=0, out=gathered)
-            prof.count("approx.lut_gathered_values", n=v, nbytes=m * k * v * itemsize)
-            with prof.timer(
+            met.inc("approx.lut_gathered_values", v)
+            with tr.span(
                 "approx.matmul_blas", nbytes=(m * k * v + k * v * self.n) * itemsize
             ):
                 y = gathered.reshape(m, k * v) @ self.big_h
@@ -341,7 +342,7 @@ def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
     lut = multiplier.signed_lut_f32() if use_f32 else multiplier.signed_lut_f64()
     dtype = np.dtype(np.float32) if use_f32 else np.dtype(np.float64)
 
-    with prof.timer("approx.plan_build", nbytes=b.nbytes):
+    with tr.span("approx.plan_build", nbytes=b.nbytes):
         mag = np.abs(b)
         values = np.unique(mag)
         values = values[values > 0]
@@ -359,7 +360,7 @@ def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
     plan = GemmPlan(
         multiplier.name, k, n, values, lut_rows, big_h, dtype, use_f32, xhi, whi
     )
-    prof.count("approx.plan_built", n=1, nbytes=plan.nbytes)
+    met.observe("plan_cache.build", plan.nbytes)
     return plan
 
 
@@ -400,7 +401,7 @@ def repair_plan(
     v = plan.num_values
     if v == 0:
         return False  # plan built on all-zero weights has no slots at all
-    with prof.timer("approx.plan_repair", nbytes=int(kk.size)):
+    with tr.span("approx.plan_repair", nbytes=int(kk.size)):
         slot = np.full(plan.whi + 1, -1, dtype=np.intp)
         slot[plan.values] = np.arange(v)
         new_vals = np.asarray(new_b[kk, nn])
@@ -418,8 +419,7 @@ def repair_plan(
         plan.big_h[kk[live] * v + slot[new_mag[live]], nn[live]] = np.sign(
             new_vals[live]
         ).astype(plan.dtype)
-    prof.count("approx.plan_repaired", n=1, nbytes=int(kk.size))
-    met.inc("plan_cache.repair")
+    met.observe("plan_cache.repair", int(kk.size))
     return True
 
 
@@ -456,16 +456,14 @@ class PlanCache:
         reused)``; ``reused=True`` means the expensive parts of the old
         payload were kept (e.g. an optimizer step left the quantized
         codes unchanged, so the plan is still bitwise-valid), counted as
-        ``approx.plan_cache_revalidate`` instead of a miss. Either way
+        ``plan_cache.revalidate`` instead of a miss. Either way
         the entry is re-keyed to the current version.
         """
         if not _caching_enabled:
-            prof.count("approx.plan_cache_bypass")
             met.inc("plan_cache.bypass")
             return build()
         entry = self._entries.get(tag)
         if entry is not None and entry[0] == key and entry[1] is multiplier:
-            prof.count("approx.plan_cache_hit")
             met.inc("plan_cache.hit")
             return entry[2]
         if (
@@ -481,13 +479,10 @@ class PlanCache:
             payload, reused = revalidate(entry[2])
             self._entries[tag] = (key, multiplier, payload)
             if reused:
-                prof.count("approx.plan_cache_revalidate")
                 met.inc("plan_cache.revalidate")
             else:
-                prof.count("approx.plan_cache_miss")
                 met.inc("plan_cache.miss")
             return payload
-        prof.count("approx.plan_cache_miss")
         met.inc("plan_cache.miss")
         payload = build()
         self._entries[tag] = (key, multiplier, payload)
@@ -514,23 +509,26 @@ class PlanCache:
 def cache_stats() -> dict:
     """Process-wide plan-cache counter snapshot (hits/misses/bytes).
 
-    Reads the profiler registry, so it is only populated while profiling
-    is enabled (``repro ... --profile`` or :class:`repro.obs.profiled`).
+    Reads the metrics registry, so it is only populated while metrics are
+    recorded (``repro ... --metrics`` or ``--profile``, or
+    :class:`repro.obs.metrics.collecting_metrics`). Builds, repairs and
+    workspace allocations are histograms of their size: the count is the
+    number of events, the sum the bytes (changed weight codes for a
+    repair), reported under ``<key>_bytes`` when non-zero.
     """
-    report = prof.profile_report()
-    out = {}
-    for name in (
-        "approx.plan_cache_hit",
-        "approx.plan_cache_miss",
-        "approx.plan_cache_revalidate",
-        "approx.plan_cache_bypass",
-        "approx.plan_built",
-        "approx.plan_repaired",
-        "approx.plan_workspace_alloc",
+    snapshot = met.get_metrics().snapshot()
+    counters, histograms = snapshot["counters"], snapshot["histograms"]
+    out = {
+        f"plan_cache_{event}": int(counters.get(f"plan_cache.{event}", 0))
+        for event in ("hit", "miss", "revalidate", "bypass")
+    }
+    for key, event in (
+        ("plan_built", "build"),
+        ("plan_repaired", "repair"),
+        ("plan_workspace_alloc", "workspace_alloc"),
     ):
-        stat = report.counter(name)
-        short = name.rsplit(".", 1)[1]
-        out[short] = int(stat.calls) if stat is not None else 0
-        if stat is not None and stat.bytes:
-            out[f"{short}_bytes"] = int(stat.bytes)
+        sized = histograms.get(f"plan_cache.{event}", {})
+        out[key] = int(sized.get("count", 0))
+        if sized.get("sum"):
+            out[f"{key}_bytes"] = int(sized["sum"])
     return out

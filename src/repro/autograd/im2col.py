@@ -25,7 +25,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ShapeError
-from repro.obs import profiling as prof
+from repro.obs import metrics as met
+from repro.obs import trace as tr
 
 
 def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -67,7 +68,7 @@ class ColPlan:
 
     def _alloc(self, dtype) -> np.ndarray:
         buf = np.zeros(self.padded_shape, dtype=dtype)
-        prof.count("autograd.col_pad_alloc", n=1, nbytes=buf.nbytes)
+        met.observe("autograd.col_pad_alloc", buf.nbytes)
         return buf
 
     def take_pad(self, dtype: np.dtype) -> np.ndarray:
@@ -133,7 +134,7 @@ def _get_col_plan(
         plan = _col_plans.get(key)
     if plan is None:
         plan = ColPlan(x_shape, kernel, stride, padding)
-        prof.count("autograd.col_plan_built")
+        met.inc("autograd.col_plan_built")
         with _col_plans_lock:
             if len(_col_plans) >= _MAX_COL_PLANS:
                 _col_plans.clear()
@@ -154,7 +155,7 @@ def im2col(
     """
     if x.ndim != 4:
         raise ShapeError(f"im2col expects NCHW input, got ndim={x.ndim}")
-    with prof.timer("autograd.im2col", nbytes=x.nbytes):
+    with tr.span("autograd.im2col", nbytes=x.nbytes):
         n, c, h, w = x.shape
         kh, kw = kernel
         plan = (
@@ -216,7 +217,7 @@ def col2im(
     expected = (n * oh * ow, c * kh * kw)
     if cols.shape != expected:
         raise ShapeError(f"col2im expected cols of shape {expected}, got {cols.shape}")
-    with prof.timer("autograd.col2im", nbytes=cols.nbytes):
+    with tr.span("autograd.col2im", nbytes=cols.nbytes):
         cols6 = cols.reshape(n, oh, ow, c, kh, kw)
         if plan is not None:
             # Accumulation scratch from the pool (zero-filled on take); the

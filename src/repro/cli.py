@@ -28,8 +28,8 @@ into the log, ``--trace PATH`` records hierarchical spans — including
 spans merged back from worker processes — and exports a Chrome
 ``trace_event`` JSON, ``--quiet`` suppresses progress chatter (final
 result lines stay on stdout for scripting), ``--verbose`` renders the
-event stream on the console, and ``--profile`` prints the hot-path timer
-table after the command.
+event stream on the console, and ``--profile`` folds every span into
+per-name counters and prints the hot-path timer table after the command.
 
 The compute-heavy subcommands (``sweep``/``profile``/``approximate``/
 ``evaluate``) additionally take ``--workers N`` (``docs/PERFORMANCE.md``):
@@ -75,7 +75,6 @@ from repro.models import create_model
 from repro.obs import console as obs_console
 from repro.obs import events as obs_events
 from repro.obs import metrics as met
-from repro.obs import profiling as prof
 from repro.obs import trace as tr
 from repro.obs.report import render_summary, summarize_run
 from repro.obs.runmeta import run_metadata
@@ -520,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--profile",
         action="store_true",
-        help="profile the hot paths and print the timer table afterwards",
+        help="aggregate spans and counters per name and print the timer "
+        "table afterwards",
     )
     group.add_argument(
         "--trace",
@@ -949,13 +949,11 @@ def main(argv: list[str] | None = None) -> int:
         log.add_sink(obs_console.ConsoleSink(console, level=obs_events.DEBUG))
     previous_log = obs_events.set_event_log(log)
 
-    if args.profile:
-        prof.reset_profiling()
-        prof.enable_profiling()
-    if args.trace:
+    if args.trace or args.profile:
         tr.reset_tracing()
-        tr.enable_tracing()
-    if args.metrics:
+        tr.enable_tracing(record=bool(args.trace), aggregate=args.profile)
+    if args.metrics or args.profile:
+        # --profile's span aggregates and counters live in the metrics registry.
         met.reset_metrics()
         met.enable_metrics()
 
@@ -972,15 +970,15 @@ def main(argv: list[str] | None = None) -> int:
         except ReproError as exc:
             console.error(str(exc))
             code, status, error = 1, "error", str(exc)
+        if args.trace or args.profile:
+            tr.disable_tracing()
         if args.profile:
-            report = prof.profile_report()
-            prof.disable_profiling()
-            log.emit(obs_events.PROFILE, **report.to_dict())
-            console.result(report.to_table())
+            profile = tr.profile_summary()
+            log.emit(obs_events.PROFILE, **profile)
+            console.result(tr.render_profile(profile))
         if args.metrics:
             met.emit_snapshot(log, scope="final")
         if args.trace:
-            tr.disable_tracing()
             spans = tr.get_trace_recorder().spans()
             tr.write_chrome_trace(args.trace, spans)
             log.emit(
@@ -995,11 +993,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             log.run_end(status=status, exit_code=code)
     finally:
-        if args.profile:
-            prof.disable_profiling()
-        if args.trace:
+        if args.trace or args.profile:
             tr.disable_tracing()
-        if args.metrics:
+        if args.metrics or args.profile:
             met.disable_metrics()
         obs_events.set_event_log(previous_log)
         log.close()

@@ -47,7 +47,6 @@ from repro.approx.multiplier import Multiplier
 from repro.errors import ReproError
 from repro.ge.error_model import PiecewiseLinearErrorModel
 from repro.obs import metrics as met
-from repro.obs import profiling as prof
 from repro.obs import trace as tr
 from repro.quant.quantizer import qrange
 
@@ -453,9 +452,7 @@ def analytic_error_stats(
         raise AnalyticModelError(f"reduce_dim must be >= 1, got {reduce_dim}")
     act_dist = act_dist or OperandDistribution.clipped_normal(act_bits, sigma_fraction)
     w_dist = w_dist or OperandDistribution.clipped_normal(weight_bits, sigma_fraction)
-    with prof.timer("ge.analytic_stats"), tr.span(
-        "ge.analytic", multiplier=multiplier.name, reduce_dim=reduce_dim
-    ):
+    with tr.span("ge.analytic", multiplier=multiplier.name, reduce_dim=reduce_dim):
         met.inc("ge.analytic_models")
         weight, product, error = joint_error_table(multiplier, act_dist, w_dist)
 
@@ -508,7 +505,7 @@ def analytic_error_model(
     rule collapses insignificant slopes to the constant model (so unbiased
     EvoApprox designs degenerate to the STE here too).
     """
-    with prof.timer("ge.analytic_model"):
+    with tr.span("ge.analytic_model"):
         if stats is None:
             stats = analytic_error_stats(
                 multiplier,

@@ -22,7 +22,6 @@ from repro.approx.multiplier import Multiplier
 from repro.approx.plan import build_plan, plan_caching_enabled
 from repro.ge.error_model import PiecewiseLinearErrorModel, fit_error_model
 from repro.obs import metrics as met
-from repro.obs import profiling as prof
 from repro.obs import trace as tr
 from repro.parallel import ParallelConfig, amortized_workers, chunked, map_workers
 from repro.quant.quantizer import qrange
@@ -153,8 +152,8 @@ def profile_multiplier_error(
             sigma_fraction=sigma_fraction,
         )
 
-    with prof.timer("ge.montecarlo_profile"):
-        prof.count("ge.montecarlo_simulations", n=num_simulations)
+    with tr.span("ge.montecarlo_profile"):
+        met.inc("ge.montecarlo_simulations", num_simulations)
         num_workers = amortized_workers(
             workers,
             tasks=num_simulations,

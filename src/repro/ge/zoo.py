@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from repro.approx.registry import available_multipliers, get_multiplier
 from repro.errors import MultiplierError
 from repro.ge.analytic import analytic_error_model, analytic_error_stats
-from repro.obs import profiling as prof
+from repro.obs import trace as tr
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def rank_multipliers(
     """
     names = list(names) if names is not None else available_multipliers()
     entries = []
-    with prof.timer("ge.zoo_rank"):
+    with tr.span("ge.zoo_rank"):
         for name in names:
             multiplier = get_multiplier(name)
             stats = analytic_error_stats(

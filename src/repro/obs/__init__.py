@@ -1,23 +1,22 @@
-"""Observability: structured run telemetry, profiling and layer statistics.
+"""Observability: structured run telemetry, spans, metrics and layer statistics.
 
-Four cooperating pieces (see ``docs/OBSERVABILITY.md``):
+Cooperating pieces (see ``docs/OBSERVABILITY.md``):
 
 - :mod:`repro.obs.events` — process-wide :class:`EventLog` writing typed
   JSONL records (``run_start``/``stage``/``epoch``/``eval``/
   ``layer_stats``/``profile``/``run_end``) to pluggable sinks;
 - :mod:`repro.obs.console` — leveled human console and the event →
   console rendering sink;
-- :mod:`repro.obs.profiling` — permanently-installed, off-by-default
-  timers/counters on the hot paths, aggregated into a
-  :class:`ProfileReport`;
 - :mod:`repro.obs.stats` — opt-in :class:`StatsHook` recording per-layer
   activation ranges, approximation-error deltas ``ε(y)`` and gradient
   norms;
-- :mod:`repro.obs.trace` — hierarchical spans with cross-process
-  propagation, exported as Chrome ``trace_event`` timelines
-  (``repro trace``);
-- :mod:`repro.obs.metrics` — process-wide counters/gauges/streaming
-  histograms with exact cross-worker merge and a Prometheus exporter;
+- :mod:`repro.obs.trace` — hierarchical spans, the one timer primitive
+  on the hot paths: recorded with cross-process propagation and exported
+  as Chrome ``trace_event`` timelines (``--trace``, ``repro trace``), or
+  folded per name into metrics counters (``--profile``);
+- :mod:`repro.obs.metrics` — the one counter registry: process-wide
+  counters/gauges/streaming histograms with exact cross-worker merge and
+  a Prometheus exporter;
 - :mod:`repro.obs.report` — offline summarisation of a JSONL log
   (``repro report``).
 """
@@ -51,6 +50,7 @@ from repro.obs.events import (
     set_event_log,
 )
 from repro.obs.metrics import (
+    COUNTER_MAX,
     QUANTILE_REL_ERROR,
     Counter,
     Gauge,
@@ -65,18 +65,6 @@ from repro.obs.metrics import (
     set_metrics,
     snapshot_quantiles,
     to_prometheus,
-)
-from repro.obs.profiling import (
-    COUNTER_MAX,
-    ProfileReport,
-    TimerStat,
-    count,
-    disable_profiling,
-    enable_profiling,
-    profile_report,
-    profiled,
-    reset_profiling,
-    timer,
 )
 from repro.obs.report import RunSummary, StageTime, render_summary, summarize_run
 from repro.obs.runmeta import (
@@ -103,9 +91,11 @@ from repro.obs.trace import (
     drain_spans,
     enable_tracing,
     get_trace_recorder,
+    profile_summary,
     read_chrome_trace,
     record_span,
     render_flame_summary,
+    render_profile,
     reset_tracing,
     self_time_summary,
     span,
@@ -148,17 +138,6 @@ __all__ = [
     "format_event",
     "get_console",
     "set_verbosity",
-    # profiling
-    "timer",
-    "count",
-    "profiled",
-    "profile_report",
-    "enable_profiling",
-    "disable_profiling",
-    "reset_profiling",
-    "ProfileReport",
-    "TimerStat",
-    "COUNTER_MAX",
     # stats
     "StatsHook",
     "LayerStats",
@@ -196,12 +175,15 @@ __all__ = [
     "read_chrome_trace",
     "self_time_summary",
     "render_flame_summary",
+    "profile_summary",
+    "render_profile",
     # metrics
     "MetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",
     "QUANTILE_REL_ERROR",
+    "COUNTER_MAX",
     "get_metrics",
     "set_metrics",
     "enable_metrics",

@@ -3,7 +3,9 @@
 A :class:`MetricsRegistry` holds three kinds of named series:
 
 - **counters** — monotonically increasing tallies (plan-cache hits,
-  Monte-Carlo draws);
+  Monte-Carlo draws, the ``span.*`` per-name aggregates ``--profile``
+  folds spans into — :mod:`repro.obs.trace`), saturating at
+  :data:`COUNTER_MAX`;
 - **gauges** — last-written values (per-layer ``ε(y)`` mean, grad norms);
 - **histograms** — streaming distributions over a **fixed logarithmic
   bucket layout** (:data:`SUBBUCKETS` buckets per power of two between
@@ -48,6 +50,10 @@ NUM_BUCKETS = (MAX_EXP - MIN_EXP) * SUBBUCKETS + 2  # + underflow + overflow
 # most half a bucket's geometric width.
 QUANTILE_REL_ERROR = 2.0 ** (1.0 / (2 * SUBBUCKETS)) - 1.0
 
+# int64 saturation bound: counters clamp here instead of growing unbounded,
+# so snapshots stay representable as int64 downstream.
+COUNTER_MAX = 2**63 - 1
+
 enabled = False
 
 
@@ -81,7 +87,7 @@ _LAYOUT = {"subbuckets": SUBBUCKETS, "min_exp": MIN_EXP, "max_exp": MAX_EXP}
 
 
 class Counter:
-    """A monotonically increasing tally."""
+    """A monotonically increasing tally, saturating at :data:`COUNTER_MAX`."""
 
     __slots__ = ("name", "value")
 
@@ -90,7 +96,7 @@ class Counter:
         self.value = 0
 
     def inc(self, n: int | float = 1) -> None:
-        self.value += n
+        self.value = min(self.value + n, COUNTER_MAX)
 
 
 class Gauge:
@@ -210,7 +216,8 @@ def histogram_from_dict(name: str, payload: dict) -> Histogram:
     return hist
 
 
-def _series_key(name: str, tags: dict) -> str:
+def series_key(name: str, tags: dict) -> str:
+    """Fold tags into one series key: ``("a", {"x": 1})`` → ``"a{x=1}"``."""
     if not tags:
         return name
     inner = ",".join(f"{k}={tags[k]}" for k in sorted(tags))
@@ -241,7 +248,7 @@ class MetricsRegistry:
 
     # -- series access ---------------------------------------------------
     def counter(self, name: str, **tags) -> Counter:
-        key = _series_key(name, tags)
+        key = series_key(name, tags)
         with self._lock:
             series = self._counters.get(key)
             if series is None:
@@ -249,7 +256,7 @@ class MetricsRegistry:
             return series
 
     def gauge(self, name: str, **tags) -> Gauge:
-        key = _series_key(name, tags)
+        key = series_key(name, tags)
         with self._lock:
             series = self._gauges.get(key)
             if series is None:
@@ -257,7 +264,7 @@ class MetricsRegistry:
             return series
 
     def histogram(self, name: str, **tags) -> Histogram:
-        key = _series_key(name, tags)
+        key = series_key(name, tags)
         with self._lock:
             series = self._histograms.get(key)
             if series is None:
@@ -265,16 +272,27 @@ class MetricsRegistry:
             return series
 
     # -- recording (lock-held so concurrent emitters never lose updates) --
+    def _bump(self, key: str, n: int | float) -> None:
+        # caller holds self._lock
+        series = self._counters.get(key)
+        if series is None:
+            series = self._counters[key] = Counter(key)
+        series.inc(n)
+
     def inc(self, name: str, n: int | float = 1, **tags) -> None:
-        key = _series_key(name, tags)
+        key = series_key(name, tags)
         with self._lock:
-            series = self._counters.get(key)
-            if series is None:
-                series = self._counters[key] = Counter(key)
-            series.inc(n)
+            self._bump(key, n)
+
+    def inc_many(self, increments) -> None:
+        """Bump several counters, given as ``(series_key, n)`` pairs, under
+        one lock acquisition (the span fold behind ``--profile``)."""
+        with self._lock:
+            for key, n in increments:
+                self._bump(key, n)
 
     def set_gauge(self, name: str, value: float, **tags) -> None:
-        key = _series_key(name, tags)
+        key = series_key(name, tags)
         with self._lock:
             series = self._gauges.get(key)
             if series is None:
@@ -282,7 +300,7 @@ class MetricsRegistry:
             series.set(value)
 
     def observe(self, name: str, value: float, **tags) -> None:
-        key = _series_key(name, tags)
+        key = series_key(name, tags)
         with self._lock:
             series = self._histograms.get(key)
             if series is None:
@@ -313,10 +331,7 @@ class MetricsRegistry:
         histograms = snapshot.get("histograms", {})
         with self._lock:
             for key, value in counters.items():
-                series = self._counters.get(key)
-                if series is None:
-                    series = self._counters[key] = Counter(key)
-                series.inc(value)
+                self._bump(key, value)
             for key, value in gauges.items():
                 series = self._gauges.get(key)
                 if series is None:

@@ -52,15 +52,19 @@ class RunSummary:
 
     @property
     def plan_cache(self) -> dict:
-        """Kernel-plan cache pressure (``approx.plan_cache_*`` counters)."""
+        """Kernel-plan cache pressure (the profile's ``plan_cache.*`` rows).
+
+        Keyed by event (``hit``, ``miss``, ``build``, ...); sized events
+        (builds, repairs, workspace allocations) add ``<event>_bytes``.
+        """
         out = {}
         for row in self.counters:
             name = str(row.get("name", ""))
-            if name.startswith("approx.plan_"):
-                short = name[len("approx.plan_"):]
+            if name.startswith("plan_cache."):
+                short = name[len("plan_cache."):]
                 out[short] = int(row.get("calls", 0))
-                if row.get("bytes"):
-                    out[f"{short}_bytes"] = int(row["bytes"])
+                if row.get("sum"):
+                    out[f"{short}_bytes"] = int(row["sum"])
         return out
 
     def latency_quantiles(self) -> dict[str, dict[str, float]]:
@@ -224,18 +228,18 @@ def render_summary(summary: RunSummary) -> str:
             )
     cache = summary.plan_cache
     if cache:
-        hits = cache.get("cache_hit", 0)
-        misses = cache.get("cache_miss", 0)
+        hits = cache.get("hit", 0)
+        misses = cache.get("miss", 0)
         lookups = hits + misses
         rate = f"  ({100.0 * hits / lookups:.1f}% hit)" if lookups else ""
         lines.append("plan cache:")
         lines.append(
             f"  hits {hits}  misses {misses}  "
-            f"revalidates {cache.get('cache_revalidate', 0)}  "
-            f"bypasses {cache.get('cache_bypass', 0)}  "
-            f"plans built {cache.get('built', 0)} "
-            f"({cache.get('built_bytes', 0)} bytes)  "
-            f"repaired {cache.get('repaired', 0)}  "
+            f"revalidates {cache.get('revalidate', 0)}  "
+            f"bypasses {cache.get('bypass', 0)}  "
+            f"plans built {cache.get('build', 0)} "
+            f"({cache.get('build_bytes', 0)} bytes)  "
+            f"repaired {cache.get('repair', 0)}  "
             f"workspace allocs {cache.get('workspace_alloc', 0)} "
             f"({cache.get('workspace_alloc_bytes', 0)} bytes){rate}"
         )

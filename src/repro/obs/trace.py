@@ -1,28 +1,42 @@
-"""Hierarchical spans with cross-process propagation and Chrome export.
+"""Hierarchical spans: the one timer primitive, with two collection modes.
 
-A :class:`span` is a timed, named block with a parent — the span that was
-open on the same thread when it started. Spans nest into a tree per run
-(``span("epoch")`` containing ``span("approx.matmul", m=64)`` …), are
-stamped with nanosecond wall-anchored monotonic timestamps plus the
-process/thread that ran them, and are collected by a process-wide
-:class:`TraceRecorder`.
+A :func:`span` is a timed, named block with a parent — the span that was
+open on the same thread when it started. Every hot path (LUT GEMM, plan
+cache, im2col, fake quantization, error-model estimation) and every
+pipeline stage is instrumented with spans and nothing else. Spans are
+**off by default**: a disabled ``span(...)`` call reads one module flag
+and hands back a shared no-op context manager, so span sites live
+permanently in the hot paths.
 
-Tracing is **off by default**: a disabled ``span`` costs one module
-attribute read and a branch, so span sites live permanently in the hot
-paths, exactly like :mod:`repro.obs.profiling` timers (which open a
-matching span automatically whenever tracing is enabled).
+Two collection modes, switched on independently (:func:`enable_tracing`):
+
+- **record** (``--trace``) — every finished span becomes a
+  :class:`SpanRecord` (nanosecond wall-anchored monotonic timestamps,
+  process/thread ids, attributes) collected by a process-wide
+  :class:`TraceRecorder`, exportable as a Chrome trace;
+- **aggregate** (``--profile``) — every finished span is folded into
+  four per-name counters of the process-wide
+  :class:`~repro.obs.metrics.MetricsRegistry` (``span.calls``,
+  ``span.total_ns``, ``span.self_ns`` and ``span.bytes``, tagged
+  ``span=<span name>``) and then discarded, so memory stays bounded by
+  the number of distinct span names. Self time subtracts the direct
+  children's time, tracked on a per-thread stack. A span's ``nbytes``
+  attribute feeds ``span.bytes``. :func:`profile_summary` turns the
+  counters into the per-name calls/total/self/MB table.
 
 Cross-process propagation (``repro.parallel``): the parent captures a
-:class:`TraceContext` — trace id plus the id of the span open at the
-fan-out call site — and ships it with each task. Worker processes adopt
-it (:func:`adopt_context`), so their root spans parent onto the
-dispatching span; finished worker spans travel back with the task result
-and are merged into the parent recorder (:meth:`TraceRecorder.merge`)
-with their original ids, timestamps and parentage intact. Span ids embed
-the pid, so they stay unique across the fleet, and timestamps are
-wall-anchored (``time_ns`` at recorder creation plus a
-``perf_counter_ns`` delta), so spans from different processes on one
-machine line up on a shared timeline.
+:class:`TraceContext` — trace id, the id of the span open at the fan-out
+call site and both mode flags — and ships it with each task. Worker
+processes adopt it (:func:`adopt_context`), so their root spans parent
+onto the dispatching span; finished worker spans travel back with the
+task result and are merged into the parent recorder
+(:meth:`TraceRecorder.merge`) with their original ids, timestamps and
+parentage intact, and aggregated counters merge exactly through
+:meth:`~repro.obs.metrics.MetricsRegistry.merge`. Span ids embed the pid,
+so they stay unique across the fleet, and timestamps are wall-anchored
+(``time_ns`` at recorder creation plus a ``perf_counter_ns`` delta), so
+spans from different processes on one machine line up on a shared
+timeline.
 
 Export: :func:`to_chrome_trace` renders any span list as Chrome
 ``trace_event`` JSON — loadable in ``chrome://tracing`` or Perfetto —
@@ -40,13 +54,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.obs import metrics as met
 from repro.obs.runmeta import new_run_id
 
-enabled = False
+enabled = False  # record finished spans as SpanRecords (--trace)
+aggregating = False  # fold finished spans into span.* counters (--profile)
+_on = False  # enabled or aggregating: the one flag a disabled span() reads
 
 _id_lock = threading.Lock()
 _id_counter = 0
-_local = threading.local()  # .stack: open span ids; .inherited: cross-task parent
+_local = threading.local()  # .stack: open _Span objects; .inherited: cross-task parent
 
 
 def _next_span_id() -> str:
@@ -96,12 +113,12 @@ class TraceRecorder:
         self.trace_id = trace_id or new_run_id()
         self._lock = threading.Lock()
         self._spans: list[SpanRecord] = []
-        self._anchor_wall = time.time_ns()
-        self._anchor_perf = time.perf_counter_ns()
+        # wall anchor minus perf anchor: perf_counter_ns() + offset is wall time
+        self._offset = time.time_ns() - time.perf_counter_ns()
 
     def now_ns(self) -> int:
         """Wall-anchored monotonic nanoseconds."""
-        return self._anchor_wall + (time.perf_counter_ns() - self._anchor_perf)
+        return time.perf_counter_ns() + self._offset
 
     def add(self, record: SpanRecord) -> None:
         with self._lock:
@@ -133,14 +150,16 @@ def get_trace_recorder() -> TraceRecorder:
     return _recorder
 
 
-def enable_tracing() -> None:
-    global enabled
-    enabled = True
+def enable_tracing(record: bool = True, aggregate: bool = False) -> None:
+    """Set the span collection modes (see the module docstring)."""
+    global enabled, aggregating, _on
+    enabled, aggregating = bool(record), bool(aggregate)
+    _on = enabled or aggregating
 
 
 def disable_tracing() -> None:
-    global enabled
-    enabled = False
+    """Turn both collection modes off."""
+    enable_tracing(record=False, aggregate=False)
 
 
 def reset_tracing(trace_id: str | None = None) -> TraceRecorder:
@@ -153,81 +172,182 @@ def reset_tracing(trace_id: str | None = None) -> TraceRecorder:
 
 
 class tracing:
-    """Enable tracing for a block and hand back the recorder.
+    """Set the collection modes for a block and hand back the recorder.
 
     >>> with tracing() as recorder:
     ...     run_sweep(...)
     >>> write_chrome_trace("trace.json", recorder.spans())
+
+    ``tracing(record=False, aggregate=True)`` is the ``--profile`` mode;
+    read the result with :func:`profile_summary`. The previous modes are
+    restored on exit.
     """
 
-    def __init__(self, reset: bool = True):
+    def __init__(self, reset: bool = True, record: bool = True, aggregate: bool = False):
         self._reset = reset
+        self._modes = (record, aggregate)
 
     def __enter__(self) -> TraceRecorder:
         if self._reset:
             reset_tracing()
-        self._was_enabled = enabled
-        enable_tracing()
+        self._previous = (enabled, aggregating)
+        enable_tracing(*self._modes)
         return _recorder
 
     def __exit__(self, *exc) -> None:
-        if not self._was_enabled:
-            disable_tracing()
+        enable_tracing(*self._previous)
 
 
 def current_span_id() -> str | None:
     """Id of the innermost open span on this thread (or inherited parent)."""
     stack = _stack()
     if stack:
-        return stack[-1]
+        return stack[-1]._id
     return getattr(_local, "inherited", None)
 
 
-class span:
-    """Context manager recording one hierarchical span (no-op when disabled).
+def span(name: str, **attrs):
+    """Context manager timing one hierarchical span (no-op when disabled).
 
     Keyword arguments become span attributes, rendered in the Chrome
-    trace's ``args`` — keep them JSON-representable scalars.
+    trace's ``args`` — keep them JSON-representable scalars. ``nbytes``
+    attributes a payload size to the span, reported as the profile's MB
+    column.
     """
+    if not _on:
+        return _OFF
+    return _Span(name, attrs)
 
-    __slots__ = ("name", "attrs", "_active", "_id", "_parent", "_start")
 
-    def __init__(self, name: str, **attrs):
+class _Off:
+    """The shared context manager a disabled :func:`span` returns."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+
+_OFF = _Off()
+
+
+class _Span:
+    """One open span; lives on its thread's stack until it exits."""
+
+    __slots__ = ("name", "attrs", "_id", "_parent", "_start", "_child", "_fold")
+
+    def __init__(self, name: str, attrs: dict):
         self.name = name
         self.attrs = attrs
 
-    def __enter__(self) -> "span":
-        self._active = enabled
-        if self._active:
-            stack = _stack()
-            self._parent = stack[-1] if stack else getattr(_local, "inherited", None)
+    def __enter__(self) -> "_Span":
+        stack = _stack()
+        self._id = None
+        if enabled:
+            self._parent = stack[-1]._id if stack else getattr(_local, "inherited", None)
             self._id = _next_span_id()
-            stack.append(self._id)
-            self._start = _recorder.now_ns()
+        self._fold = aggregating
+        self._child = 0  # ns spent in direct children on this thread
+        stack.append(self)
+        self._start = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc) -> None:
-        if not self._active:
-            return
-        end = _recorder.now_ns()
+        dur = time.perf_counter_ns() - self._start
         stack = _stack()
-        if not stack or stack[-1] != self._id:
+        if not stack or stack[-1] is not self:
             # reset_tracing() ran inside the block; the sample belongs to
             # the discarded trace — drop it rather than corrupt the stack.
             return
         stack.pop()
-        _recorder.add(
-            SpanRecord(
-                name=self.name,
-                span_id=self._id,
-                parent_id=self._parent,
-                start_ns=self._start,
-                dur_ns=max(end - self._start, 0),
-                pid=os.getpid(),
-                tid=threading.get_ident(),
-                attrs=self.attrs,
+        if stack:
+            stack[-1]._child += dur
+        if self._id is not None:
+            _recorder.add(
+                SpanRecord(
+                    name=self.name,
+                    span_id=self._id,
+                    parent_id=self._parent,
+                    start_ns=self._start + _recorder._offset,
+                    dur_ns=dur,
+                    pid=os.getpid(),
+                    tid=threading.get_ident(),
+                    attrs=self.attrs,
+                )
             )
+        if self._fold:
+            _fold(self.name, dur, dur - self._child, self.attrs.get("nbytes", 0))
+
+
+# ----------------------------------------------------------------------
+# aggregate mode (--profile): spans folded into metrics counters
+# ----------------------------------------------------------------------
+_FOLD_SERIES = ("span.calls", "span.total_ns", "span.self_ns", "span.bytes")
+_fold_keys: dict[str, tuple[str, ...]] = {}  # span name -> its four series keys
+
+
+def _fold(name: str, dur_ns: int, self_ns: int, nbytes: int) -> None:
+    keys = _fold_keys.get(name)
+    if keys is None:
+        keys = _fold_keys[name] = tuple(
+            met.series_key(series, {"span": name}) for series in _FOLD_SERIES
         )
+    met.get_metrics().inc_many(
+        zip(keys, (1, dur_ns, max(self_ns, 0), int(nbytes)))
+    )
+
+
+def profile_summary(registry: "met.MetricsRegistry | None" = None) -> dict:
+    """The ``profile`` event payload, read from a metrics registry.
+
+    ``timers`` has one row per span name — ``calls``, inclusive
+    ``total`` and ``self`` seconds, ``bytes`` — hottest first.
+    ``counters`` lists every other counter (``calls`` is its value) and
+    every histogram (``calls`` is its count, ``sum`` its total).
+    """
+    snapshot = (registry or met.get_metrics()).snapshot()
+    fields = dict(zip(_FOLD_SERIES, ("calls", "total", "self", "bytes")))
+    timers: dict[str, dict] = {}
+    counters = []
+    for key, value in snapshot["counters"].items():
+        series, tags = met.split_series_key(key)
+        field = fields.get(series)
+        if field is None or "span" not in tags:
+            counters.append({"name": key, "calls": value})
+            continue
+        row = timers.setdefault(
+            tags["span"],
+            {"name": tags["span"], "calls": 0, "total": 0.0, "self": 0.0, "bytes": 0},
+        )
+        row[field] = round(value / 1e9, 6) if field in ("total", "self") else value
+    for key, payload in snapshot["histograms"].items():
+        counters.append({"name": key, "calls": payload["count"], "sum": payload["sum"]})
+    return {
+        "timers": sorted(timers.values(), key=lambda r: r["total"], reverse=True),
+        "counters": sorted(counters, key=lambda r: r["name"]),
+    }
+
+
+def render_profile(summary: dict, top: int = 10) -> str:
+    """Fixed-width table of a :func:`profile_summary`: the ``top`` hottest
+    span names, then every counter."""
+    lines = [
+        f"{'timer':32s} {'calls':>9s} {'total[s]':>10s} {'self[s]':>10s} {'MB':>9s}"
+    ]
+    for row in summary["timers"][:top]:
+        lines.append(
+            f"{row['name']:32s} {row['calls']:9d} {row['total']:10.4f} "
+            f"{row['self']:10.4f} {row['bytes'] / 1e6:9.2f}"
+        )
+    if summary["counters"]:
+        lines.append(f"{'counter':32s} {'count':>9s} {'sum':>32s}")
+        for row in summary["counters"]:
+            total = f"{row['sum']:32.6g}" if "sum" in row else ""
+            lines.append(f"{row['name']:32s} {row['calls']:9d} {total}".rstrip())
+    return "\n".join(lines)
 
 
 def record_span(
@@ -271,12 +391,16 @@ class TraceContext:
     trace_id: str
     parent_id: str | None
     enabled: bool
+    aggregating: bool = False
 
 
 def trace_context() -> TraceContext:
     """Capture the current trace identity for hand-off to a worker."""
     return TraceContext(
-        trace_id=_recorder.trace_id, parent_id=current_span_id(), enabled=enabled
+        trace_id=_recorder.trace_id,
+        parent_id=current_span_id(),
+        enabled=enabled,
+        aggregating=aggregating,
     )
 
 
@@ -287,12 +411,13 @@ def adopt_context(context: TraceContext) -> None:
     are reused across tasks, so per-task state must not leak) and
     installs ``context.parent_id`` as this thread's inherited parent —
     the worker's root spans link straight onto the dispatching span.
+    Both collection modes follow the parent's.
     """
-    global _recorder, enabled
+    global _recorder
     _recorder = TraceRecorder(context.trace_id)
     _stack().clear()
     _local.inherited = context.parent_id
-    enabled = context.enabled
+    enable_tracing(context.enabled, context.aggregating)
 
 
 def drain_spans() -> list[SpanRecord]:

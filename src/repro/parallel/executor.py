@@ -11,9 +11,10 @@ place that knows how to spread them over workers (``docs/PERFORMANCE.md``):
   **item order** regardless of completion order, spawning one
   statistically independent RNG per task when a seed is given — the same
   seed yields the same per-task streams at any worker count;
-- worker processes capture their event-log records and profiling stats
-  and ship them back with each result, so the parent's telemetry covers
-  the whole fleet (:func:`repro.obs.profiling.merge_report`).
+- worker processes capture their event-log records, finished spans and
+  metrics (including the ``--profile`` span aggregates) and ship them back
+  with each result, so the parent's telemetry covers the whole fleet
+  (:meth:`repro.obs.metrics.MetricsRegistry.merge`).
 
 ``workers=1`` (the default everywhere) executes inline with zero
 overhead and no behaviour change; platforms without ``fork`` degrade to
@@ -34,7 +35,6 @@ from repro import config
 from repro.errors import ConfigError
 from repro.obs import events as obs_events
 from repro.obs import metrics as met
-from repro.obs import profiling as prof
 from repro.obs import trace as tr
 from repro.utils.rng import spawn_rngs
 
@@ -54,9 +54,9 @@ class ParallelConfig:
         otherwise; the explicit names force a backend, and ``"serial"``
         disables parallelism regardless of ``workers``.
     capture_obs:
-        Capture event-log records and profiler stats inside worker
+        Capture event-log records, spans and metrics inside worker
         processes and merge them back into the parent (process backend
-        only; threads share the parent's log and registry directly).
+        only; threads share the parent's log and registries directly).
     """
 
     workers: int = 1
@@ -180,7 +180,6 @@ class _WorkerResult:
 
     value: Any
     events: list[dict]
-    profile: prof.ProfileReport | None
     pid: int
     spans: list | None = None  # finished tr.SpanRecord list (may be empty)
     metrics: dict | None = None  # met.MetricsRegistry.snapshot()
@@ -189,7 +188,6 @@ class _WorkerResult:
 def _call_captured(
     fn: Callable,
     args: tuple,
-    profile: bool,
     trace_ctx: "tr.TraceContext | None" = None,
     capture_metrics: bool = False,
 ) -> _WorkerResult:
@@ -199,19 +197,17 @@ def _call_captured(
     sinks* (e.g. a ``--log-json`` file handle), so the first thing the
     wrapper does is swap in a private collecting log — worker records must
     travel back through the result, not race the parent on a shared file
-    descriptor. Profiling state is likewise reset so the returned report
-    is exactly this task's delta.
+    descriptor.
 
     Trace context shipped by the parent is adopted so the worker's spans
-    parent onto the dispatching span; finished spans and a metrics
-    snapshot travel back with the result for exact merge in the parent.
+    parent onto the dispatching span and follow the parent's collection
+    modes; finished spans and a fresh-registry metrics snapshot (which
+    carries the ``--profile`` span aggregates) travel back with the
+    result for exact merge in the parent.
     """
     log = obs_events.EventLog()
     sink = log.add_sink(obs_events.CollectingSink())
     previous_log = obs_events.set_event_log(log)
-    prof.reset_profiling()
-    if profile:
-        prof.enable_profiling()
     if trace_ctx is not None:
         tr.adopt_context(trace_ctx)
     if capture_metrics:
@@ -221,23 +217,16 @@ def _call_captured(
         # Uncaptured observations cannot travel back to the parent; keep
         # the (possibly inherited-enabled) metrics path off in the worker.
         met.disable_metrics()
-    traced = trace_ctx is not None and trace_ctx.enabled
     try:
-        if traced:
-            with tr.span("parallel.task"):
-                value = fn(*args)
-        else:
+        with tr.span("parallel.task"):
             value = fn(*args)
     finally:
         obs_events.set_event_log(previous_log)
-    report = prof.profile_report() if profile else None
-    prof.reset_profiling()
-    spans = tr.drain_spans() if traced else []
+    spans = tr.drain_spans()
     metrics = met.get_metrics().snapshot() if capture_metrics else None
     return _WorkerResult(
         value=value,
         events=sink.records,
-        profile=report,
         pid=os.getpid(),
         spans=spans,
         metrics=metrics,
@@ -260,8 +249,6 @@ def _absorb(result: _WorkerResult) -> Any:
                 worker=result.pid,
                 **payload,
             )
-    if result.profile is not None:
-        prof.merge_report(result.profile)
     if result.spans:
         tr.get_trace_recorder().merge(result.spans)
     if result.metrics is not None:
@@ -293,8 +280,8 @@ def map_workers(
 
     Worker-process event records are re-emitted on the parent log stamped
     with a ``worker`` PID (their envelope is restamped; the original
-    relative times are worker-local and not comparable), and worker
-    profiler stats are folded into the parent registry.
+    relative times are worker-local and not comparable), and worker spans
+    and metrics are folded into the parent recorder and registry.
     """
     config = get_default_config() if config is None else config
     items = list(items)
@@ -317,8 +304,8 @@ def map_workers(
     trace_ctx = tr.trace_context()
     executor: Executor
     if backend == "thread":
-        # Threads share the parent's (now thread-safe) event log, profiler
-        # registry, trace recorder and metrics registry; only the span
+        # Threads share the parent's (thread-safe) event log, trace
+        # recorder and metrics registry; only the span
         # parentage needs installing per task (pool threads start with an
         # empty span stack and would otherwise produce orphan roots).
         executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro")
@@ -333,13 +320,13 @@ def map_workers(
         executor = ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork")
         )
-        capture_profile = config.capture_obs and prof.enabled
-        capture_metrics = config.capture_obs and met.enabled
+        # --profile aggregates live in the metrics registry, so they need
+        # the metrics snapshot shipped back even when metrics are off.
+        capture_metrics = config.capture_obs and (met.enabled or tr.aggregating)
         submit = lambda i: executor.submit(  # noqa: E731
             _call_captured,
             fn,
             task_args(i),
-            capture_profile,
             trace_ctx if config.capture_obs else None,
             capture_metrics,
         )

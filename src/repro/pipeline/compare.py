@@ -80,7 +80,7 @@ def compare_methods(
         comparison.initial_accuracy = result.accuracy_before
         if log.enabled:
             # Kernel-plan cache pressure per method (cumulative process-wide
-            # counters; only non-zero under --profile).
+            # metrics counters; non-zero only under --metrics or --profile).
             log.emit(
                 "plan_cache",
                 method=method,

@@ -12,7 +12,8 @@ import numpy as np
 
 from repro.autograd.function import Function
 from repro.autograd.tensor import Tensor, as_tensor
-from repro.obs import profiling as prof
+from repro.obs import metrics as met
+from repro.obs import trace as tr
 from repro.quant.quantizer import dequantize, qrange, quantize
 
 
@@ -21,8 +22,8 @@ class FakeQuantize(Function):
 
     def forward(self, x, step: float, bits: int):
         x = np.asarray(x)
-        with prof.timer("quant.fake_quantize", nbytes=x.nbytes):
-            prof.count("quant.fake_quantized_elements", n=x.size)
+        with tr.span("quant.fake_quantize", nbytes=x.nbytes):
+            met.inc("quant.fake_quantized_elements", x.size)
             lo, hi = qrange(bits)
             self.pass_mask = (x >= lo * step) & (x <= hi * step)
             return dequantize(quantize(x, step, bits), step).astype(x.dtype)

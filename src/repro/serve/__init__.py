@@ -18,7 +18,7 @@
   backpressure-aware retry;
 - :class:`~repro.serve.http.HttpFrontend` — optional stdlib HTTP front
   end (``/v1/predict``, ``/healthz``, Prometheus ``/metrics``);
-- :func:`~repro.serve.loadgen.run_load` — the closed-loop load generator
+- :func:`~repro.serve.loadgen.run_load` — the closed- and open-loop load generator
   behind ``BENCH_serve.json`` (throughput at a p95 latency SLO, batch
   occupancy, bitwise response verification).
 

@@ -15,17 +15,24 @@ Two load models are supported (``mode=``):
   its next request as soon as the previous one returns. Throughput is
   self-limiting: a slow server slows the clients down.
 - ``"open"`` — requests arrive on a Poisson process at ``offered_rps``,
-  independent of how fast the server answers (each arrival gets its own
-  thread). This is how real traffic behaves: latency under an offered
-  rate the server can't absorb shows up as queueing, not as a politely
-  throttled client. The report carries ``offered_rps`` and the
-  ``achieved_rps`` the dispatcher actually sustained.
+  independent of how fast the server answers: one dispatcher thread
+  hands each request to the non-blocking ``Server.submit``/
+  ``submit_batch`` at its due time and collects the futures. This is how
+  real traffic behaves: latency under an offered rate the server can't
+  absorb shows up as queueing, not as a politely throttled client. Each
+  request is timed from the moment it was *due*, so a dispatcher that
+  falls behind shows up in the latencies of the requests it delayed. A
+  refused request (``BackpressureError``) counts as failed and is not
+  retried — retrying would hide the overload. The report carries
+  ``offered_rps`` and the ``achieved_rps`` the dispatcher actually
+  sustained.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -54,7 +61,7 @@ class LoadReport:
     latency_p99_ms: float
     slo_p95_ms: float
     slo_met: bool
-    rejected_retries: int
+    rejected_retries: int  # server rejections: retried (closed) or failed (open)
     failed_requests: int
     bitwise_checked: int
     bitwise_mismatches: int
@@ -97,15 +104,17 @@ def run_load(
 
     In the default closed loop, ``concurrency`` client threads issue
     ``requests`` total requests, each starting its next as the previous
-    returns. With ``mode="open"``, requests instead arrive on a Poisson
-    process at ``offered_rps`` requests/second regardless of server
-    speed (``concurrency`` is ignored; every arrival is dispatched on
-    its own thread at its scheduled time). Each request is a batch of
+    returns; latency is measured client-side around the blocking call,
+    so it includes queueing, batching wait and backpressure retries —
+    what a caller experiences. With ``mode="open"``, requests instead
+    arrive on a Poisson process at ``offered_rps`` requests/second
+    regardless of server speed (``concurrency`` is ignored): one
+    dispatcher submits each at its scheduled time without blocking, and
+    latency runs from the scheduled time to completion. A rejected open
+    request is a failure, never retried. Each request is a batch of
     ``batch_size`` samples with probability ``batch_fraction``, else a
     single sample. Samples come from the dataset's held-out split via
-    the protocol. Latency is measured client-side around the blocking
-    call, so it includes queueing, batching wait and backpressure
-    retries — what a caller experiences.
+    the protocol.
 
     ``reference_models`` maps weight version → a model holding exactly
     those weights; every successful response is then re-evaluated alone
@@ -130,7 +139,6 @@ def run_load(
         else:
             plan.append(pool[int(rng.integers(0, pool.shape[0]))])
 
-    client = Client(server, retries=64, timeout_s=timeout_s)
     lock = threading.Lock()
     latencies: list[float] = []
     outcomes: list[tuple[np.ndarray, Prediction] | None] = [None] * requests
@@ -138,51 +146,73 @@ def run_load(
     retries_before = server.stats()["rejected"]
     cursor = [0]
 
-    def issue(index: int) -> None:
-        x = plan[index]
-        start = time.perf_counter()
-        try:
-            if x.ndim == pool.ndim:  # batch request
-                prediction = client.predict_batch(x, timeout_s=timeout_s)
-            else:
-                prediction = client.predict(x, timeout_s=timeout_s)
-        except Exception:
-            with lock:
-                failures[0] += 1
-            return
-        elapsed = time.perf_counter() - start
-        with lock:
-            latencies.append(elapsed)
-            outcomes[index] = (x, prediction)
-
-    def worker() -> None:
-        while True:
-            with lock:
-                if cursor[0] >= requests:
-                    return
-                index = cursor[0]
-                cursor[0] += 1
-            issue(index)
-
     achieved_rps: float | None = None
     if mode == "open":
         # Poisson arrivals: i.i.d. exponential inter-arrival gaps at the
-        # offered rate, dispatched at their absolute schedule times so a
+        # offered rate, submitted at their absolute schedule times so a
         # slow server never throttles the arrival process.
         arrivals = np.cumsum(rng.exponential(1.0 / offered_rps, size=requests))
-        threads = [
-            threading.Thread(target=issue, args=(i,), name=f"repro-loadgen-{i}", daemon=True)
-            for i in range(requests)
-        ]
+        done_at: list[float | None] = [None] * requests
+        pending = []
         wall_start = time.perf_counter()
-        for index, thread in enumerate(threads):
-            delay = wall_start + arrivals[index] - time.perf_counter()
+        for index in range(requests):
+            due = wall_start + float(arrivals[index])
+            delay = due - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-            thread.start()
+            x = plan[index]
+            try:
+                if x.ndim == pool.ndim:  # batch request
+                    future = server.submit_batch(x)
+                else:
+                    future = server.submit(x)
+            except ServeError:  # BackpressureError included: not retried
+                failures[0] += 1
+                continue
+            future.add_done_callback(
+                lambda _f, i=index: done_at.__setitem__(i, time.perf_counter())
+            )
+            pending.append((index, due, future))
         dispatch_elapsed = time.perf_counter() - wall_start
         achieved_rps = requests / dispatch_elapsed if dispatch_elapsed > 0 else 0.0
+        give_up = time.perf_counter() + timeout_s
+        for index, due, future in pending:
+            try:
+                prediction = future.result(timeout=max(0.0, give_up - time.perf_counter()))
+            except (FutureTimeout, ServeError):
+                failures[0] += 1
+                continue
+            # The done callback has run by the time result() returns,
+            # except in the instant between set_result and the callback.
+            finished = done_at[index] if done_at[index] is not None else time.perf_counter()
+            latencies.append(finished - due)
+            outcomes[index] = (plan[index], prediction)
     else:
+        client = Client(server, retries=64, timeout_s=timeout_s)
+
+        def worker() -> None:
+            while True:
+                with lock:
+                    if cursor[0] >= requests:
+                        return
+                    index = cursor[0]
+                    cursor[0] += 1
+                x = plan[index]
+                start = time.perf_counter()
+                try:
+                    if x.ndim == pool.ndim:  # batch request
+                        prediction = client.predict_batch(x, timeout_s=timeout_s)
+                    else:
+                        prediction = client.predict(x, timeout_s=timeout_s)
+                except Exception:
+                    with lock:
+                        failures[0] += 1
+                    continue
+                elapsed = time.perf_counter() - start
+                with lock:
+                    latencies.append(elapsed)
+                    outcomes[index] = (x, prediction)
+
         threads = [
             threading.Thread(target=worker, name=f"repro-loadgen-{i}", daemon=True)
             for i in range(max(1, concurrency))
@@ -190,8 +220,8 @@ def run_load(
         wall_start = time.perf_counter()
         for thread in threads:
             thread.start()
-    for thread in threads:
-        thread.join()
+        for thread in threads:
+            thread.join()
     duration = time.perf_counter() - wall_start
 
     checked = mismatches = 0

@@ -25,7 +25,6 @@ from repro.approx.plan import (
     workspace_pool,
 )
 from repro.errors import MultiplierError, ShapeError
-from repro.obs import profiling as prof
 
 
 def _random_operands(rng, multiplier, m=37, k=29, n=11):
@@ -98,21 +97,23 @@ class TestPlanBitwiseEquivalence:
                 approx_matmul(a, b, mult, plan=plan, workers=workers), serial
             )
 
-    def test_plan_execution_is_instrumented(self):
+    def test_plan_execution_is_instrumented(self, profiled):
         mult = get_multiplier("truncated4")
         rng = np.random.default_rng(4)
         a, b = _random_operands(rng, mult, m=8, k=12, n=4)
-        with prof.profiled() as report:
+        with profiled() as rows:
             plan = build_plan(b, mult)
             approx_matmul(a, b, mult, plan=plan)
-        assert report.timer("approx.plan_build").calls == 1
-        assert report.counter("approx.plan_built").calls == 1
-        assert report.timer("approx.lut_gather").calls == 1
-        assert report.timer("approx.matmul_blas").calls == 1
-        gathered = report.counter("approx.lut_gathered_values")
-        assert gathered.calls == plan.num_values
+        assert rows["approx.plan_build"]["calls"] == 1
+        assert rows["plan_cache.build"]["calls"] == 1
+        assert rows["approx.lut_gather"]["calls"] == 1
+        assert rows["approx.matmul_blas"]["calls"] == 1
+        assert rows["approx.lut_gathered_values"]["calls"] == plan.num_values
         # bytes reflect the plan dtype, not a hardcoded 8 bytes/element
-        assert gathered.bytes == 8 * 12 * plan.num_values * plan.dtype.itemsize
+        v = plan.num_values
+        assert rows["approx.matmul_blas"]["bytes"] == (
+            (8 * 12 * v + 12 * v * 4) * plan.dtype.itemsize
+        )
 
 
 class TestPlanValidation:
@@ -230,9 +231,9 @@ class TestPlanCache:
         assert len(builds) == 2
         assert len(cache) == 0
 
-    def test_counters_track_hits_misses_and_bypasses(self):
+    def test_counters_track_hits_misses_and_bypasses(self, profiled):
         cache = PlanCache()
-        with prof.profiled():
+        with profiled():
             cache.get("t", (0,), None, object)
             cache.get("t", (0,), None, object)
             cache.get("t", (1,), None, object)

@@ -165,16 +165,15 @@ class TestColPlans:
             np.testing.assert_array_equal(cols, ref_cols)
             np.testing.assert_array_equal(col2im(c, x.shape, (3, 3), 1, 1), ref_dx)
 
-    def test_plans_are_counted_and_clearable(self, rng):
+    def test_plans_are_counted_and_clearable(self, rng, profiled):
         from repro.autograd.im2col import _col_plans, clear_col_plans
-        from repro.obs import profiling as prof
 
         x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
         clear_col_plans()
-        with prof.profiled() as report:
+        with profiled() as rows:
             im2col(x, (3, 3), 1, 1)
             im2col(x, (3, 3), 1, 1)
-        assert report.counter("autograd.col_plan_built").calls == 1
+        assert rows["autograd.col_plan_built"]["calls"] == 1
         assert len(_col_plans) == 1
         clear_col_plans()
         assert len(_col_plans) == 0

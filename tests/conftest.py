@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.data import make_synthetic_cifar
 from repro.models import simplecnn
+from repro.obs import metrics as met
+from repro.obs import trace as tr
 from repro.pipeline import quantization_stage
 from repro.train import TrainConfig, cross_entropy_loss, train_model
 
@@ -14,6 +18,26 @@ from repro.train import TrainConfig, cross_entropy_loss, train_model
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@contextlib.contextmanager
+def _profiled():
+    rows: dict[str, dict] = {}
+    with met.collecting_metrics() as registry, tr.tracing(record=False, aggregate=True):
+        yield rows
+    summary = tr.profile_summary(registry)
+    rows.update((row["name"], row) for row in summary["timers"] + summary["counters"])
+
+
+@pytest.fixture
+def profiled():
+    """``with profiled() as rows:`` runs the block in ``--profile`` mode.
+
+    On exit ``rows`` maps every span name and every metrics series to its
+    :func:`repro.obs.trace.profile_summary` row (absent names were never
+    hit).
+    """
+    return _profiled
 
 
 @pytest.fixture(scope="session")

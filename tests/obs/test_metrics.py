@@ -44,12 +44,12 @@ class TestBucketLayout:
 
 class TestSeriesKey:
     def test_round_trip(self):
-        key = met._series_key("lat", {"layer": "conv1", "op": "gemm"})
+        key = met.series_key("lat", {"layer": "conv1", "op": "gemm"})
         assert key == "lat{layer=conv1,op=gemm}"
         assert met.split_series_key(key) == ("lat", {"layer": "conv1", "op": "gemm"})
 
     def test_untagged(self):
-        assert met._series_key("lat", {}) == "lat"
+        assert met.series_key("lat", {}) == "lat"
         assert met.split_series_key("lat") == ("lat", {})
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.models import simplecnn
 from repro.obs import events as ev
+from repro.parallel import fork_available
 from repro.train import TrainConfig, cross_entropy_loss, train_model
 
 pytestmark = pytest.mark.obs
@@ -157,6 +158,26 @@ class TestConsoleFlags:
         assert "approx.lut_gather" in out
         (profile_event,) = ev.iter_events(ev.read_events(logfile), ev.PROFILE)
         assert any(t["name"] == "approx.lut_gather" for t in profile_event["timers"])
+
+    @pytest.mark.skipif(not fork_available(), reason="process workers need fork")
+    def test_profile_merges_worker_rows(self, tmp_path, capsys, monkeypatch):
+        # Monte-Carlo fitting fanned out to two worker processes: their
+        # span rows come back through the metrics merge into one table.
+        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+        logfile = tmp_path / "workers.jsonl"
+        assert main([
+            "profile", "--multiplier", "truncated4",
+            "--error-model-method", "montecarlo", "--workers", "2",
+            "--profile", "--log-json", str(logfile),
+        ]) == 0
+        assert "parallel.task" in capsys.readouterr().out
+        (profile_event,) = ev.iter_events(ev.read_events(logfile), ev.PROFILE)
+        rows = {t["name"]: t for t in profile_event["timers"]}
+        # parallel.task spans only ever open inside the worker processes
+        assert rows["parallel.task"]["calls"] >= 2
+        assert rows["ge.montecarlo_profile"]["calls"] == 1
+        assert main(["report", str(logfile)]) == 0
+        assert "parallel.task" in capsys.readouterr().out
 
 
 class TestOverhead:

@@ -1,148 +1,188 @@
-"""Profiling registry: timer nesting/aggregation, counters, saturation."""
+"""``--profile`` span aggregation: per-name timers, self time, counters, saturation."""
 
 import time
 
 import pytest
 
-from repro.obs import profiling as prof
+from repro.obs import metrics as met
+from repro.obs import trace as tr
 
 pytestmark = pytest.mark.obs
 
 
 @pytest.fixture(autouse=True)
-def clean_registry():
-    prof.reset_profiling()
-    prof.disable_profiling()
+def clean_state():
+    tr.reset_tracing()
+    tr.disable_tracing()
+    met.reset_metrics()
+    met.disable_metrics()
     yield
-    prof.reset_profiling()
-    prof.disable_profiling()
+    tr.reset_tracing()
+    tr.disable_tracing()
+    met.reset_metrics()
+    met.disable_metrics()
+
+
+def _aggregate():
+    tr.enable_tracing(record=False, aggregate=True)
+
+
+def _timer(name):
+    rows = {row["name"]: row for row in tr.profile_summary()["timers"]}
+    return rows.get(name)
+
+
+def _counter(name):
+    rows = {row["name"]: row for row in tr.profile_summary()["counters"]}
+    return rows.get(name)
 
 
 class TestTimer:
     def test_disabled_timer_records_nothing(self):
-        with prof.timer("idle"):
+        with tr.span("idle"):
             pass
-        assert prof.profile_report().timers == []
+        assert tr.profile_summary()["timers"] == []
+        assert len(tr.get_trace_recorder()) == 0
 
     def test_aggregation_by_name(self):
-        prof.enable_profiling()
+        _aggregate()
         for _ in range(3):
-            with prof.timer("work", nbytes=100):
+            with tr.span("work", nbytes=100):
                 pass
-        report = prof.profile_report()
-        stat = report.timer("work")
-        assert stat.calls == 3
-        assert stat.bytes == 300
-        assert stat.total >= 0.0
+        stat = _timer("work")
+        assert stat["calls"] == 3
+        assert stat["bytes"] == 300
+        assert stat["total"] >= 0.0
 
     def test_nesting_parent_includes_child(self):
-        prof.enable_profiling()
-        with prof.timer("outer"):
-            with prof.timer("inner"):
+        _aggregate()
+        with tr.span("outer"):
+            with tr.span("inner"):
                 time.sleep(0.02)
-        report = prof.profile_report()
-        outer, inner = report.timer("outer"), report.timer("inner")
-        assert inner.total >= 0.02
-        assert outer.total >= inner.total
+        outer, inner = _timer("outer"), _timer("inner")
+        assert inner["total"] >= 0.02
+        assert outer["total"] >= inner["total"]
         # self time excludes the directly nested child
-        assert outer.self_time <= outer.total - inner.total + 1e-3
+        assert outer["self"] <= outer["total"] - inner["total"] + 1e-3
 
     def test_sibling_children_both_subtracted(self):
-        prof.enable_profiling()
-        with prof.timer("parent"):
-            with prof.timer("child"):
+        _aggregate()
+        with tr.span("parent"):
+            with tr.span("child"):
                 time.sleep(0.01)
-            with prof.timer("child"):
+            with tr.span("child"):
                 time.sleep(0.01)
-        report = prof.profile_report()
-        child = report.timer("child")
-        parent = report.timer("parent")
-        assert child.calls == 2
-        assert parent.self_time <= parent.total - child.total + 1e-3
+        child, parent = _timer("child"), _timer("parent")
+        assert child["calls"] == 2
+        assert parent["self"] <= parent["total"] - child["total"] + 1e-3
 
     def test_enable_mid_block_does_not_crash(self):
-        t = prof.timer("late")
-        with t:
-            prof.enable_profiling()
+        with tr.span("late"):
+            _aggregate()
         # the block started disabled, so nothing was recorded
-        assert prof.profile_report().timer("late") is None
+        assert _timer("late") is None
 
 
 class TestCounters:
     def test_count_accumulates(self):
-        prof.enable_profiling()
-        prof.count("items", n=5, nbytes=10)
-        prof.count("items", n=2, nbytes=20)
-        stat = prof.profile_report().counter("items")
-        assert stat.calls == 7
-        assert stat.bytes == 30
+        met.enable_metrics()
+        met.inc("items", 5)
+        met.inc("items", 2)
+        met.observe("alloc", 10)
+        met.observe("alloc", 20)
+        assert _counter("items")["calls"] == 7
+        # a sized event is a histogram: its count and its summed size
+        assert _counter("alloc")["calls"] == 2
+        assert _counter("alloc")["sum"] == 30
 
     def test_disabled_count_is_noop(self):
-        prof.count("items", n=5)
-        assert prof.profile_report().counters == []
+        met.inc("items", 5)
+        assert tr.profile_summary()["counters"] == []
 
     def test_counter_saturates_instead_of_overflowing(self):
-        prof.enable_profiling()
-        prof.count("big", n=prof.COUNTER_MAX - 1)
-        prof.count("big", n=12345)
-        stat = prof.profile_report().counter("big")
-        assert stat.calls == prof.COUNTER_MAX  # clamped to int64 max
-        prof.count("big", nbytes=prof.COUNTER_MAX + 10**9)
-        assert prof.profile_report().counter("big").bytes == prof.COUNTER_MAX
+        met.enable_metrics()
+        met.inc("big", met.COUNTER_MAX - 1)
+        met.inc("big", 12345)
+        assert _counter("big")["calls"] == met.COUNTER_MAX  # clamped to int64 max
+        counter = met.Counter("direct")
+        counter.inc(met.COUNTER_MAX + 10**9)
+        assert counter.value == met.COUNTER_MAX
 
     def test_timer_call_saturation(self):
-        stat = prof.TimerStat("x", calls=prof.COUNTER_MAX)
-        stat.add(0.0, nbytes=prof.COUNTER_MAX, child_time=0.0)
-        assert stat.calls == prof.COUNTER_MAX
-        assert stat.bytes == prof.COUNTER_MAX
+        registry = met.get_metrics()
+        registry.inc("span.calls", met.COUNTER_MAX, span="x")
+        registry.inc("span.bytes", met.COUNTER_MAX, span="x")
+        _aggregate()
+        with tr.span("x", nbytes=met.COUNTER_MAX):
+            pass
+        stat = _timer("x")
+        assert stat["calls"] == met.COUNTER_MAX
+        assert stat["bytes"] == met.COUNTER_MAX
 
 
 class TestReport:
     def test_top_orders_by_total(self):
-        prof.enable_profiling()
-        with prof.timer("slow"):
+        _aggregate()
+        with tr.span("slow"):
             time.sleep(0.02)
-        with prof.timer("fast"):
+        with tr.span("fast"):
             pass
-        top = prof.profile_report().top(2)
-        assert [s.name for s in top] == ["slow", "fast"]
+        top = tr.profile_summary()["timers"][:2]
+        assert [row["name"] for row in top] == ["slow", "fast"]
 
     def test_to_table_and_dict(self):
-        prof.enable_profiling()
-        with prof.timer("t1", nbytes=1_000_000):
+        _aggregate()
+        met.enable_metrics()
+        with tr.span("t1", nbytes=1_000_000):
             pass
-        prof.count("c1", n=3)
-        report = prof.profile_report()
-        table = report.to_table()
+        met.inc("c1", 3)
+        payload = tr.profile_summary()
+        table = tr.render_profile(payload)
         assert "t1" in table and "c1" in table
-        payload = report.to_dict()
         assert payload["timers"][0]["name"] == "t1"
+        assert payload["timers"][0]["bytes"] == 1_000_000
         assert payload["counters"][0]["calls"] == 3
 
     def test_profiled_context_resets_and_fills_report(self):
-        prof.enable_profiling()
-        with prof.timer("stale"):
+        _aggregate()
+        with tr.span("stale"):
             pass
-        with prof.profiled() as report:
-            with prof.timer("fresh"):
+        with met.collecting_metrics() as registry, tr.tracing(
+            record=False, aggregate=True
+        ):
+            with tr.span("fresh"):
                 pass
-        assert report.timer("stale") is None
-        assert report.timer("fresh").calls == 1
-        # profiling was not previously enabled inside this fixture-reset state?
-        # it was, so it must still be enabled afterwards
-        assert prof.enabled
+        rows = {row["name"]: row for row in tr.profile_summary(registry)["timers"]}
+        assert "stale" not in rows
+        assert rows["fresh"]["calls"] == 1
+        # aggregation was on before the block, so it stays on afterwards
+        assert tr.aggregating
 
     def test_profiled_restores_disabled_state(self):
-        prof.disable_profiling()
-        with prof.profiled() as report:
-            with prof.timer("x"):
+        with tr.tracing(record=False, aggregate=True):
+            with tr.span("x"):
                 pass
-        assert not prof.enabled
-        assert report.timer("x").calls == 1
+        assert not tr.aggregating and not tr.enabled
+        assert _timer("x")["calls"] == 1
+
+
+class TestBoundedMemory:
+    def test_spans_under_profile_keep_no_records(self):
+        _aggregate()
+        for i in range(1000):
+            with tr.span(f"name{i % 3}", nbytes=1):
+                pass
+        # every span was folded into counters and dropped
+        assert len(tr.get_trace_recorder()) == 0
+        timers = tr.profile_summary()["timers"]
+        assert sorted(row["name"] for row in timers) == ["name0", "name1", "name2"]
+        assert sum(row["calls"] for row in timers) == 1000
+        # memory is bounded by distinct names: four series per name
+        assert len(met.get_metrics().snapshot()["counters"]) == 3 * 4
 
 
 class TestHotPathsAreInstrumented:
-    def test_approx_matmul_hits_timers_and_counters(self):
+    def test_approx_matmul_hits_timers_and_counters(self, profiled):
         import numpy as np
 
         from repro.approx import get_multiplier
@@ -151,35 +191,35 @@ class TestHotPathsAreInstrumented:
         rng = np.random.default_rng(0)
         a = rng.integers(-100, 100, size=(8, 12)).astype(np.int32)
         b = rng.integers(-7, 8, size=(12, 4)).astype(np.int32)
-        with prof.profiled() as report:
+        with profiled() as rows:
             approx_matmul(a, b, get_multiplier("truncated4"))
-        assert report.timer("approx.lut_gather").calls == 1
-        assert report.timer("approx.matmul_blas").calls == 1
-        assert report.counter("approx.lut_gathered_values").calls >= 1
+        assert rows["approx.lut_gather"]["calls"] == 1
+        assert rows["approx.matmul_blas"]["calls"] == 1
+        assert rows["approx.lut_gathered_values"]["calls"] >= 1
 
-    def test_im2col_and_fake_quant_hit_timers(self):
+    def test_im2col_and_fake_quant_hit_timers(self, profiled):
         import numpy as np
 
         from repro.autograd.im2col import im2col
         from repro.quant.fake_quant import fake_quantize
 
-        with prof.profiled() as report:
+        with profiled() as rows:
             im2col(np.zeros((1, 2, 6, 6), dtype=np.float32), (3, 3))
             fake_quantize(np.linspace(-1, 1, 16, dtype=np.float32), 0.1, 8)
-        assert report.timer("autograd.im2col").calls == 1
-        assert report.timer("quant.fake_quantize").calls == 1
-        assert report.counter("quant.fake_quantized_elements").calls == 16
+        assert rows["autograd.im2col"]["calls"] == 1
+        assert rows["quant.fake_quantize"]["calls"] == 1
+        assert rows["quant.fake_quantized_elements"]["calls"] == 16
 
-    def test_montecarlo_hits_timer(self):
+    def test_montecarlo_hits_timer(self, profiled):
         from repro.approx import get_multiplier
         from repro.ge.montecarlo import profile_multiplier_error
 
-        with prof.profiled() as report:
+        with profiled() as rows:
             profile_multiplier_error(
                 get_multiplier("truncated4"), num_simulations=2, gemm_rows=4,
                 reduce_dim=6, out_dim=2,
             )
-        assert report.timer("ge.montecarlo_profile").calls == 1
-        assert report.counter("ge.montecarlo_simulations").calls == 2
-        # nested exact/approx GEMM timers attribute into the MC profile
-        assert report.timer("approx.exact_matmul").calls >= 2
+        assert rows["ge.montecarlo_profile"]["calls"] == 1
+        assert rows["ge.montecarlo_simulations"]["calls"] == 2
+        # nested exact/approx GEMM spans attribute into the MC profile
+        assert rows["approx.exact_matmul"]["calls"] >= 2

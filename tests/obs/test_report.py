@@ -33,11 +33,11 @@ def run_log(tmp_path):
         ev.PROFILE,
         timers=[{"name": "approx.lut_gather", "calls": 7, "total": 0.25}],
         counters=[
-            {"name": "approx.plan_cache_hit", "calls": 30, "bytes": 0},
-            {"name": "approx.plan_cache_miss", "calls": 10, "bytes": 0},
-            {"name": "approx.plan_built", "calls": 10, "bytes": 4096},
-            {"name": "approx.plan_workspace_alloc", "calls": 2, "bytes": 8192},
-            {"name": "ge.montecarlo_simulations", "calls": 50, "bytes": 0},
+            {"name": "plan_cache.hit", "calls": 30},
+            {"name": "plan_cache.miss", "calls": 10},
+            {"name": "plan_cache.build", "calls": 10, "sum": 4096.0},
+            {"name": "plan_cache.workspace_alloc", "calls": 2, "sum": 8192.0},
+            {"name": "ge.montecarlo_simulations", "calls": 50},
         ],
     )
     log.run_end(status="ok", exit_code=0)
@@ -163,10 +163,10 @@ class TestPlanCacheCounters:
         summary = summarize_run(run_log)
         assert len(summary.counters) == 5
         cache = summary.plan_cache
-        assert cache["cache_hit"] == 30
-        assert cache["cache_miss"] == 10
-        assert cache["built"] == 10
-        assert cache["built_bytes"] == 4096
+        assert cache["hit"] == 30
+        assert cache["miss"] == 10
+        assert cache["build"] == 10
+        assert cache["build_bytes"] == 4096
         assert cache["workspace_alloc_bytes"] == 8192
         # non-plan counters are kept out of the plan-cache view
         assert "montecarlo_simulations" not in cache

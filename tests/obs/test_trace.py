@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import profiling as prof
+from repro.obs import metrics as met
 from repro.obs import trace as tr
 
 pytestmark = pytest.mark.obs
@@ -117,18 +117,39 @@ class TestThreads:
 
 
 class TestProfilingBridge:
+    """The two collection modes: record (--trace) and aggregate (--profile)."""
+
     def test_timer_opens_matching_span(self):
-        tr.enable_tracing()
-        with prof.timer("approx.lut_gather"):
-            pass
+        # both modes on: the span is recorded and folded into counters
+        with met.collecting_metrics() as registry:
+            tr.enable_tracing(record=True, aggregate=True)
+            with tr.span("approx.lut_gather", nbytes=8):
+                pass
         assert [s.name for s in tr.get_trace_recorder().spans()] == [
             "approx.lut_gather"
         ]
+        (row,) = tr.profile_summary(registry)["timers"]
+        assert (row["name"], row["calls"], row["bytes"]) == ("approx.lut_gather", 1, 8)
 
     def test_timer_without_tracing_opens_nothing(self):
-        with prof.timer("approx.lut_gather"):
-            pass
+        # aggregate only (--profile without --trace): N spans, 0 records
+        with met.collecting_metrics() as registry:
+            tr.enable_tracing(record=False, aggregate=True)
+            for _ in range(50):
+                with tr.span("approx.lut_gather"):
+                    with tr.span("approx.matmul_blas"):
+                        pass
         assert len(tr.get_trace_recorder()) == 0
+        rows = {r["name"]: r for r in tr.profile_summary(registry)["timers"]}
+        assert rows["approx.lut_gather"]["calls"] == 50
+        assert rows["approx.matmul_blas"]["calls"] == 50
+
+    def test_context_carries_both_modes(self):
+        tr.enable_tracing(record=False, aggregate=True)
+        ctx = tr.trace_context()
+        tr.disable_tracing()
+        tr.adopt_context(ctx)  # simulates the forked worker
+        assert tr.aggregating and not tr.enabled
 
 
 class TestContextPropagation:

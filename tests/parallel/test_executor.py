@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import events as obs_events
-from repro.obs import profiling as prof
+from repro.obs import metrics as met
+from repro.obs import trace as tr
 from repro.parallel import (
     BACKENDS,
     ParallelConfig,
@@ -35,7 +36,7 @@ def _draw(x, rng):
 
 def _emit_and_time(x):
     obs_events.get_event_log().eval(f"task{x}", 0.25)
-    with prof.timer("executor.task"):
+    with tr.span("executor.task"):
         pass
     return x
 
@@ -131,17 +132,18 @@ class TestWorkerCapture:
         assert {r["run"] for r in evals} == {"test"}
 
     def test_worker_profile_merges_into_parent(self, events):
-        prof.reset_profiling()
-        prof.enable_profiling()
-        try:
-            map_workers(
-                _emit_and_time, range(4), ParallelConfig(workers=2, backend="process")
-            )
-            stat = prof.profile_report().timer("executor.task")
-            assert stat is not None and stat.calls == 4
-        finally:
-            prof.disable_profiling()
-            prof.reset_profiling()
+        # span aggregation alone (metrics recording off) still ships the
+        # workers' span.* counters back through the metrics merge
+        with met.collecting_metrics() as registry:
+            met.disable_metrics()
+            with tr.tracing(record=False, aggregate=True) as recorder:
+                map_workers(
+                    _emit_and_time, range(4), ParallelConfig(workers=2, backend="process")
+                )
+            assert len(recorder) == 0
+        rows = {r["name"]: r for r in tr.profile_summary(registry)["timers"]}
+        assert rows["executor.task"]["calls"] == 4
+        assert rows["parallel.task"]["calls"] == 4
 
     def test_capture_disabled_skips_merge(self, events):
         config = ParallelConfig(workers=2, backend="process", capture_obs=False)

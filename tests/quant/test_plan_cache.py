@@ -14,7 +14,6 @@ import pytest
 from repro.approx import get_multiplier, plan_cache_disabled
 from repro.autograd import Tensor
 from repro.nn.parameter import Parameter
-from repro.obs import profiling as prof
 from repro.quant import QuantConv2d, QuantLinear
 from repro.sim import attach_multiplier, evaluate_accuracy
 from repro.train import SGD
@@ -61,12 +60,12 @@ class TestBitwiseIdentity:
             reference = evaluate_accuracy(model, x, y, batch_size=64)
         assert cached == cached2 == reference
 
-    def test_exact_layers_never_build_plans(self, rng):
+    def test_exact_layers_never_build_plans(self, rng, profiled):
         lin = _calibrated(QuantLinear(8, 3, rng=rng), rng.normal(size=(4, 8)).astype(np.float32))
         x = rng.normal(size=(4, 8)).astype(np.float32)
-        with prof.profiled() as report:
+        with profiled() as rows:
             lin(Tensor(x))
-        assert report.counter("approx.plan_built") is None
+        assert "plan_cache.build" not in rows
 
 
 class TestInvalidation:
@@ -81,21 +80,21 @@ class TestInvalidation:
         p.data[0, 0] = 5.0
         assert p.version == 2
 
-    def test_optimizer_step_invalidates_the_plan(self, rng):
+    def test_optimizer_step_invalidates_the_plan(self, rng, profiled):
         mult = get_multiplier("truncated3")
         x = rng.normal(size=(6, 12)).astype(np.float32)
         layer = _calibrated(QuantLinear(12, 5, rng=rng), x)
         layer.set_multiplier(mult)
-        with prof.profiled() as report:
+        with profiled() as rows:
             out = layer(Tensor(x))
             out.backward(np.ones_like(out.data))
             SGD(layer.parameters(), lr=0.5).step()
             layer.refresh_weight_step()
             layer(Tensor(x))
         # two distinct keys -> two misses, zero (stale) hits
-        assert report.counter("approx.plan_cache_miss").calls == 2
-        assert report.counter("approx.plan_cache_hit") is None
-        assert report.counter("approx.plan_built").calls == 2
+        assert rows["plan_cache.miss"]["calls"] == 2
+        assert "plan_cache.hit" not in rows
+        assert rows["plan_cache.build"]["calls"] == 2
 
     def test_training_step_changes_key_so_stale_reuse_is_impossible(self, rng):
         mult = get_multiplier("truncated3")
@@ -150,17 +149,17 @@ class TestInvalidation:
 
 
 class TestCacheHygiene:
-    def test_repeated_eval_hits_after_first_miss(self, rng):
+    def test_repeated_eval_hits_after_first_miss(self, rng, profiled):
         mult = get_multiplier("truncated3")
         x = rng.normal(size=(6, 12)).astype(np.float32)
         layer = _calibrated(QuantLinear(12, 5, rng=rng), x)
         layer.set_multiplier(mult)
-        with prof.profiled() as report:
+        with profiled() as rows:
             for _ in range(4):
                 layer(Tensor(x))
-        assert report.counter("approx.plan_cache_miss").calls == 1
-        assert report.counter("approx.plan_cache_hit").calls == 3
-        assert report.counter("approx.plan_built").calls == 1
+        assert rows["plan_cache.miss"]["calls"] == 1
+        assert rows["plan_cache.hit"]["calls"] == 3
+        assert rows["plan_cache.build"]["calls"] == 1
 
     def test_deepcopied_layer_starts_with_an_empty_cache(self, rng):
         mult = get_multiplier("truncated3")
@@ -172,14 +171,14 @@ class TestCacheHygiene:
         assert len(clone._plan_cache) == 0
         np.testing.assert_array_equal(clone(Tensor(x)).data, layer(Tensor(x)).data)
 
-    def test_grouped_conv_caches_one_entry_with_per_group_plans(self, rng):
+    def test_grouped_conv_caches_one_entry_with_per_group_plans(self, rng, profiled):
         mult = get_multiplier("truncated3")
         xc = rng.normal(size=(3, 4, 8, 8)).astype(np.float32)
         layer = _calibrated(QuantConv2d(4, 8, 3, padding=1, groups=2, rng=rng), xc)
         layer.set_multiplier(mult)
-        with prof.profiled() as report:
+        with profiled() as rows:
             layer(Tensor(xc))
             layer(Tensor(xc))
-        assert report.counter("approx.plan_built").calls == 2  # one per group
-        assert report.counter("approx.plan_cache_miss").calls == 1
-        assert report.counter("approx.plan_cache_hit").calls == 1
+        assert rows["plan_cache.build"]["calls"] == 2  # one per group
+        assert rows["plan_cache.miss"]["calls"] == 1
+        assert rows["plan_cache.hit"]["calls"] == 1

@@ -22,7 +22,7 @@ class TestRegionGating:
 
     def test_fully_saturated_model_equals_ste(self, rng):
         mult = get_multiplier("truncated5")
-        lin = QuantLinear(8, 4, bias=False)
+        lin = QuantLinear(8, 4, bias=False, rng=rng)
         lin.act_step, lin.weight_step = 1 / 32, 1 / 8
         x = Tensor(rng.normal(size=(6, 8)).astype(np.float32))
 
@@ -30,12 +30,37 @@ class TestRegionGating:
         lin(x).sum().backward()
         ste = lin.weight.grad.copy()
 
-        # Saturation bounds so tight the linear region is never active.
-        saturated = PiecewiseLinearErrorModel(k=-0.5, c=0.0, lower=-1e-6, upper=1e-6)
+        # Saturation bounds so tight the linear region is never active:
+        # with c = 0.25, k·y + c is at least 0.25 away from 0 for every
+        # integer output y, so no output lands inside (lower, upper).
+        saturated = PiecewiseLinearErrorModel(k=-0.5, c=0.25, lower=-1e-6, upper=1e-6)
         lin.set_multiplier(mult, saturated)
         lin.weight.zero_grad()
         lin(x).sum().backward()
         np.testing.assert_allclose(lin.weight.grad, ste, rtol=1e-5)
+
+    def test_output_inside_the_band_is_scaled(self, rng):
+        """The gating rule is ``lower < k·y + c < upper``: with c = 0 the
+        band (-1e-6, 1e-6) holds exactly the output y = 0, whose gradient
+        is scaled by 1 + k."""
+        mult = get_multiplier("truncated5")
+        lin = QuantLinear(8, 4, bias=False, rng=rng)
+        lin.act_step, lin.weight_step = 1 / 32, 1 / 8
+        weight = lin.weight.data.copy()
+        weight[2] = 0.0  # output feature 2 is exactly y = 0 for every input
+        lin.weight.data = weight
+        x = Tensor(rng.normal(size=(6, 8)).astype(np.float32))
+
+        lin.set_multiplier(mult, None)
+        lin(x).sum().backward()
+        ste = lin.weight.grad.copy()
+
+        band = PiecewiseLinearErrorModel(k=-0.5, c=0.0, lower=-1e-6, upper=1e-6)
+        lin.set_multiplier(mult, band)
+        lin.weight.zero_grad()
+        lin(x).sum().backward()
+        assert np.abs(ste[2]).max() > 0
+        np.testing.assert_allclose(lin.weight.grad[2], 0.5 * ste[2], rtol=1e-5)
 
     def test_partial_region_mixes_scales(self, rng):
         """With bounds cutting through the output range, some gradient rows

@@ -22,7 +22,6 @@ from repro.approx import (
 from repro.autograd import Tensor
 from repro.autograd.im2col import clear_col_plans
 from repro.ge import PiecewiseLinearErrorModel
-from repro.obs import profiling as prof
 from repro.quant import QuantConv2d, QuantLinear
 from repro.train import SGD
 
@@ -169,25 +168,25 @@ class TestTrainingBitwiseEquivalence:
 
 
 class TestRevalidation:
-    def test_unchanged_codes_revalidate_without_rebuilding(self, rng):
+    def test_unchanged_codes_revalidate_without_rebuilding(self, rng, profiled):
         # A vanishingly small learning rate bumps every Parameter version
         # without moving any weight across a 4-bit rounding boundary: the
         # codes are unchanged, so after the first build the plan must be
         # revalidated, never rebuilt.
         xs, gs = _batches(rng, 4, (6, 12), (6, 5))
-        with prof.profiled() as report:
+        with profiled() as rows:
             _train(_build_mlp, xs, gs, lr=1e-12)
-        assert report.counter("approx.plan_built").calls == 2  # one per layer
-        assert report.counter("approx.plan_cache_revalidate").calls == 6
-        assert report.counter("approx.plan_repaired") is None
+        assert rows["plan_cache.build"]["calls"] == 2  # one per layer
+        assert rows["plan_cache.revalidate"]["calls"] == 6
+        assert "plan_cache.repair" not in rows
 
-    def test_sparse_code_drift_repairs_in_place(self, rng):
+    def test_sparse_code_drift_repairs_in_place(self, rng, profiled):
         # Flip exactly one weight to a magnitude the plan already knows:
         # the plan must be repaired in place, not rebuilt.
         layers = _build_mlp(error_model=None)
         layer = layers[0]
         x = rng.normal(size=(6, 12)).astype(np.float32)
-        with prof.profiled() as report:
+        with profiled() as rows:
             layer(Tensor(x))
             new_w = layer.weight.data.copy()
             # sign-flip the largest weight: its 4-bit code is certainly
@@ -196,28 +195,28 @@ class TestRevalidation:
             new_w[idx] = -new_w[idx]
             layer.weight.data = new_w  # rebind bumps the version
             repaired_out = layer(Tensor(x)).data
-        assert report.counter("approx.plan_built").calls == 1
-        assert report.counter("approx.plan_repaired").calls == 1
+        assert rows["plan_cache.build"]["calls"] == 1
+        assert rows["plan_cache.repair"]["calls"] == 1
         layer._plan_cache.clear()
         with plan_cache_disabled():
             np.testing.assert_array_equal(repaired_out, layer(Tensor(x)).data)
 
-    def test_train_plans_disabled_restores_prior_miss_behaviour(self, rng):
+    def test_train_plans_disabled_restores_prior_miss_behaviour(self, rng, profiled):
         xs, gs = _batches(rng, 3, (6, 12), (6, 5))
         with train_plans_disabled():
             assert not train_plans_enabled()
-            with prof.profiled() as report:
+            with profiled() as rows:
                 _train(_build_mlp, xs, gs, lr=1e-12)
         # every step is a fresh miss: no revalidation at all
-        assert report.counter("approx.plan_cache_revalidate") is None
-        assert report.counter("approx.plan_built").calls == 6
+        assert "plan_cache.revalidate" not in rows
+        assert rows["plan_cache.build"]["calls"] == 6
 
-    def test_col_plans_only_built_when_train_plans_enabled(self, rng):
+    def test_col_plans_only_built_when_train_plans_enabled(self, rng, profiled):
         xs, gs = _batches(rng, 2, (2, 3, 8, 8), (2, 6, 4, 4))
         clear_col_plans()
-        with train_plans_disabled(), prof.profiled() as report:
+        with train_plans_disabled(), profiled() as rows:
             _train(_build_conv, xs, gs)
-        assert report.counter("autograd.col_plan_built") is None
-        with prof.profiled() as report:
+        assert "autograd.col_plan_built" not in rows
+        with profiled() as rows:
             _train(_build_conv, xs, gs)
-        assert report.counter("autograd.col_plan_built").calls >= 1
+        assert rows["autograd.col_plan_built"]["calls"] >= 1
