@@ -9,8 +9,9 @@ takes 15 values, so the GEMM decomposes as
 
     ỹ = Σ_{v=1..whi} G_v (1[B = v] - 1[B = -v]),   G_v[i,k] = g̃(A[i,k], v)
 
-— one LUT gather plus one BLAS matmul per positive weight value (the v = -v
-term uses the sign-magnitude odd symmetry ``g̃(a, -v) = -g̃(a, v)``). All
+— the uncached reference path gathers one LUT column per *active*
+weight value and runs one fused BLAS matmul over them (the v = -v term
+uses the sign-magnitude odd symmetry ``g̃(a, -v) = -g̃(a, v)``). All
 products and partial sums are integers far below 2^53, so float64 BLAS is
 exact.
 
@@ -18,7 +19,9 @@ When the weight operand is frozen (every evaluation loop, sweep cell and
 Monte-Carlo run), callers pass a precomputed weight-stationary
 :class:`~repro.approx.plan.GemmPlan` — the per-batch work collapses to one
 pooled-workspace gather plus one BLAS call, bitwise identical to the
-uncached path (``docs/PERFORMANCE.md``).
+uncached path. For multipliers whose LUT is linear in the weight bits
+(the truncated family) the plan gathers ``w_bits - 1`` bit-plane columns
+instead of one column per active value (``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations

@@ -127,6 +127,28 @@ class Multiplier:
             self._is_exact = cached
         return cached
 
+    @property
+    def is_weight_bit_linear(self) -> bool:
+        """True when the LUT is linear in the weight bits (cached).
+
+        Checks ``LUT(x, w) = Σ_{j<J} bit_j(w)·LUT(x, 2^j)`` over the
+        signed code range (``x ≤ xhi``, ``w ≤ whi``, ``J = w_bits - 1``).
+        Every multiplier that only drops partial products ``x_i·w_j`` —
+        the truncated family — satisfies it; the GEMM plan builder then
+        gathers ``J`` bit planes instead of one LUT column per active
+        weight value (docs/PERFORMANCE.md, "Bit-plane plans").
+        """
+        cached = getattr(self, "_is_weight_bit_linear", None)
+        if cached is None:
+            xhi = 2 ** (self.x_bits - 1) - 1
+            whi = 2 ** (self.w_bits - 1) - 1
+            planes = np.arange(self.w_bits - 1)
+            lut = self.lut[: xhi + 1].astype(np.int64)
+            bits = (np.arange(whi + 1)[:, None] >> planes) & 1
+            cached = bool(np.array_equal(lut[:, : whi + 1], lut[:, 1 << planes] @ bits.T))
+            self._is_weight_bit_linear = cached
+        return cached
+
     def error_table(self) -> np.ndarray:
         """Signed error ``g̃(a,b) - a*b`` over the full unsigned domain."""
         a = np.arange(2**self.x_bits)[:, None]

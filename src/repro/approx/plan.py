@@ -7,11 +7,16 @@ identical across every batch of an evaluation, sweep cell or simulation.
 A :class:`GemmPlan` hoists every weight-dependent quantity out of the
 per-batch path:
 
-- the **active weight values** (the ``v`` with ``±v`` present in ``B``),
-  found in one bucketization pass instead of ``2·whi`` boolean scans;
-- the **mask matrix** ``H`` with ``H[k·V + i, n] = sign(B[k, n])`` when
-  ``|B[k, n]|`` equals the i-th active value (the (K, V)-interleaved
-  layout lets the per-batch gather be a single ``np.take``);
+- the plan's **basis**: either the active weight values (the ``v``
+  with ``±v`` present in ``B``, found in one bucketization pass instead
+  of ``2·whi`` boolean scans — an *indicator plan*), or, when the
+  multiplier's LUT is linear in the weight bits (every truncated
+  design), the ``J = w_bits - 1`` bit weights ``1, 2, 4`` — a
+  *bit-plane plan*, chosen when ``B`` has more than ``J`` active values;
+- the **coefficient matrix** ``H`` in a (K, V)-interleaved layout (so
+  the per-batch gather is a single ``np.take``): ``H[k·V + i, n] =
+  sign(B[k, n])`` when ``|B[k, n]|`` equals the i-th active value, or
+  ``H[k·J + j, n] = sign(B[k, n])·bit_j(|B[k, n]|)`` for bit planes;
 - the **dtype/precision decision** (float32 BLAS while every partial sum
   stays below 2^23, float64 otherwise) and the operand-magnitude check
   on ``B``;
@@ -28,9 +33,10 @@ sums cannot change them.
 :class:`PlanCache` is the per-layer memo keyed by a weight-version
 counter (see :class:`repro.nn.parameter.Parameter`); a training step
 bumps the version, so a stale plan is impossible by construction.
-Cache hits/misses/revalidations/bypasses and plan builds, repairs and
-workspace allocations are counted on the metrics registry
-(``plan_cache.*``) and surfaced by ``repro report`` and Prometheus.
+Cache hits/misses/revalidations/bypasses and plan builds (bit-plane
+builds separately), repairs and workspace allocations are counted on the
+metrics registry (``plan_cache.*``) and surfaced by ``repro report`` and
+Prometheus.
 """
 
 from __future__ import annotations
@@ -148,7 +154,9 @@ class WorkspacePool:
     (power-of-two rounded so consecutive batch sizes reuse one
     allocation); ``give`` returns it. Concurrent row-block threads each
     take a distinct buffer, so plan execution never shares scratch
-    memory. The pool keeps at most ``max_buffers`` per dtype.
+    memory. The pool keeps at most ``max_buffers`` per dtype, and a
+    ``take`` that no free buffer satisfies releases that dtype's free
+    buffers (they are all too small) before allocating.
     """
 
     def __init__(self, max_buffers: int = 8):
@@ -167,6 +175,11 @@ class WorkspacePool:
                     best = index
             if best is not None:
                 return free.pop(best)
+            # Nothing fits: the free buffers of this dtype are all too small
+            # for the current shapes, so drop them instead of pooling both
+            # the small and the new large set.
+            self._allocated_bytes -= sum(buf.nbytes for buf in free)
+            free.clear()
         rounded = 1 << max(int(size) - 1, 0).bit_length()
         buf = np.empty(rounded, dtype=dtype)
         with self._lock:
@@ -242,6 +255,12 @@ class LayerKernelState:
 class GemmPlan:
     """Precomputed weight-stationary state for one ``A @ B`` operand ``B``.
 
+    ``values`` is the plan's basis: the active weight magnitudes of an
+    indicator plan, or the bit weights ``1, 2, 4, ...`` of a bit-plane
+    plan (``bitplane=True``, see :func:`build_plan`). Either way
+    ``big_h[k·V + i, n]`` is the coefficient of LUT column
+    ``values[i]`` for weight ``B[k, n]``.
+
     Built once per (weights, multiplier) via :func:`build_plan`; executed
     per batch via :meth:`execute`. Instances are safe to share across
     threads for execution (scratch space comes from the pool); the single
@@ -251,7 +270,7 @@ class GemmPlan:
 
     __slots__ = (
         "multiplier_name", "k", "n", "values", "lut_rows", "big_h",
-        "dtype", "use_f32", "xhi", "whi", "nbytes",
+        "dtype", "use_f32", "xhi", "whi", "bitplane", "nbytes",
     )
 
     def __init__(
@@ -266,6 +285,7 @@ class GemmPlan:
         use_f32: bool,
         xhi: int,
         whi: int,
+        bitplane: bool,
     ):
         self.multiplier_name = multiplier_name
         self.k = k
@@ -277,6 +297,7 @@ class GemmPlan:
         self.use_f32 = use_f32
         self.xhi = xhi
         self.whi = whi
+        self.bitplane = bitplane
         self.nbytes = int(big_h.nbytes + lut_rows.nbytes + values.nbytes)
 
     @property
@@ -323,8 +344,15 @@ class GemmPlan:
 def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
     """Build the weight-stationary plan for operand ``b`` of ``a @ b``.
 
-    One bucketization pass over ``b`` finds the active weight values and
-    scatters the ±1 mask matrix, replacing the ``2·whi`` boolean scans of
+    The basis follows the multiplier's LUT. When the LUT is linear in the
+    weight bits (:attr:`Multiplier.is_weight_bit_linear`, every truncated
+    design) and ``b`` has more active magnitudes than there are bit
+    planes, the plan is a **bit-plane plan**: ``values = [1, 2, 4, ...]``
+    and ``big_h[k·J + j, n] = sign(b)·bit_j(|b|)`` with ``J = w_bits - 1``,
+    so execution gathers ``J`` LUT columns per activation. Otherwise it is
+    an **indicator plan**: one bucketization pass over ``b`` finds the
+    active magnitudes and scatters ``big_h[k·V + i, n] = sign(b)`` where
+    ``|b|`` is the i-th of them, replacing the ``2·whi`` boolean scans of
     the uncached path.
     """
     b = np.asarray(b)
@@ -338,6 +366,8 @@ def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
 
     k, n = b.shape
     max_product = float(np.abs(multiplier.lut).max())
+    # A bit-plane partial sum is a sub-sum of the same non-negative LUT
+    # terms, so the indicator plan's float32 gate covers both layouts.
     use_f32 = max_product * k < _EXACT_FLOAT32_BOUND
     lut = multiplier.signed_lut_f32() if use_f32 else multiplier.signed_lut_f64()
     dtype = np.dtype(np.float32) if use_f32 else np.dtype(np.float64)
@@ -346,21 +376,29 @@ def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
         mag = np.abs(b)
         values = np.unique(mag)
         values = values[values > 0]
-        v = len(values)
-        big_h = np.zeros((k * v, n), dtype=dtype)
-        if v:
-            # v = 0 contributes g̃(a, 0) = 0 under sign-magnitude evaluation.
-            slot = np.full(whi + 1, -1, dtype=np.intp)
-            slot[values] = np.arange(v)
-            kk, nn = np.nonzero(mag)
-            big_h[kk * v + slot[mag[kk, nn]], nn] = np.sign(b[kk, nn])
-            lut_rows = np.ascontiguousarray(lut[:, whi + values])
+        planes = multiplier.w_bits - 1
+        bitplane = len(values) > planes and multiplier.is_weight_bit_linear
+        if bitplane:
+            shifts = np.arange(planes)
+            values = 1 << shifts
+            bits = (mag[:, None, :] >> shifts[:, None]) & 1
+            big_h = (np.sign(b)[:, None, :] * bits).reshape(k * planes, n).astype(dtype)
         else:
-            lut_rows = np.zeros((lut.shape[0], 0), dtype=dtype)
+            v = len(values)
+            big_h = np.zeros((k * v, n), dtype=dtype)
+            if v:
+                # v = 0 contributes g̃(a, 0) = 0 under sign-magnitude evaluation.
+                slot = np.full(whi + 1, -1, dtype=np.intp)
+                slot[values] = np.arange(v)
+                kk, nn = np.nonzero(mag)
+                big_h[kk * v + slot[mag[kk, nn]], nn] = np.sign(b[kk, nn])
+        lut_rows = np.ascontiguousarray(lut[:, whi + values])
     plan = GemmPlan(
-        multiplier.name, k, n, values, lut_rows, big_h, dtype, use_f32, xhi, whi
+        multiplier.name, k, n, values, lut_rows, big_h, dtype, use_f32, xhi, whi, bitplane
     )
     met.observe("plan_cache.build", plan.nbytes)
+    if bitplane:
+        met.inc("plan_cache.build_bitplane")
     return plan
 
 
@@ -374,17 +412,22 @@ def repair_plan(
 
     An optimizer step typically flips a handful of 4-bit codes out of
     hundreds of thousands; rebuilding the whole plan for that is the
-    training-loop regression this module fixes. Each flipped position
-    ``(k, n)`` moves at most one ±1 entry of ``big_h`` between value
-    rows — an O(changed) scatter — provided every new magnitude already
-    has a value slot. Returns False (plan untouched at the affected
-    positions' final state is then irrelevant — caller rebuilds) when a
-    magnitude appears that the plan has no slot for.
+    training-loop regression this module fixes. Returns False (caller
+    rebuilds) when the change cannot be expressed in the plan's basis:
 
-    After a successful repair ``big_h`` is exactly the matrix
-    :func:`build_plan` would scatter for ``new_b``, except that value
-    slots no longer used anywhere keep their (now all-zero) rows —
-    zero-mask rows contribute exactly 0.0 to every partial sum, so
+    - a **bit-plane** plan rewrites the ``J`` plane entries of every
+      changed position ``(k, n)`` — O(changed·J) — and accepts any code
+      within the plan's magnitude range;
+    - an **indicator** plan moves at most one ±1 entry of ``big_h``
+      between value rows per changed position — an O(changed) scatter —
+      and declines when a magnitude appears that it has no slot for.
+
+    Magnitudes above ``whi`` are always declined (the bit-plane layout
+    would silently drop their high bits). After a successful repair
+    ``big_h`` is exactly the matrix :func:`build_plan` would produce for
+    ``new_b`` in the same basis, except that indicator slots no longer
+    used anywhere keep their (now all-zero) rows — zero-mask rows
+    contribute exactly 0.0 to every partial sum, so
     :meth:`GemmPlan.execute` stays bitwise identical to a fresh build.
     This is the single sanctioned mutation of a plan; callers must not
     run it concurrently with :meth:`GemmPlan.execute` on other threads.
@@ -401,24 +444,32 @@ def repair_plan(
     v = plan.num_values
     if v == 0:
         return False  # plan built on all-zero weights has no slots at all
+    new_vals = np.asarray(new_b[kk, nn])
+    new_mag = np.abs(new_vals)
+    if new_mag.max() > plan.whi:
+        return False
     with tr.span("approx.plan_repair", nbytes=int(kk.size)):
-        slot = np.full(plan.whi + 1, -1, dtype=np.intp)
-        slot[plan.values] = np.arange(v)
-        new_vals = np.asarray(new_b[kk, nn])
-        new_mag = np.abs(new_vals)
-        live = new_mag > 0
-        if live.any() and (slot[new_mag[live]] < 0).any():
-            return False
-        old_vals = np.asarray(old_b[kk, nn])
-        old_mag = np.abs(old_vals)
-        olive = old_mag > 0
-        # Clear the old ±1 entries first, then scatter the new ones — a
-        # sign flip at an unchanged magnitude lands on the same slot and
-        # must end at the new sign.
-        plan.big_h[kk[olive] * v + slot[old_mag[olive]], nn[olive]] = 0
-        plan.big_h[kk[live] * v + slot[new_mag[live]], nn[live]] = np.sign(
-            new_vals[live]
-        ).astype(plan.dtype)
+        if plan.bitplane:
+            shifts = np.arange(v)
+            bits = (new_mag[:, None] >> shifts) & 1
+            plan.big_h[kk[:, None] * v + shifts, nn[:, None]] = (
+                np.sign(new_vals)[:, None] * bits
+            )
+        else:
+            slot = np.full(plan.whi + 1, -1, dtype=np.intp)
+            slot[plan.values] = np.arange(v)
+            live = new_mag > 0
+            if live.any() and (slot[new_mag[live]] < 0).any():
+                return False
+            old_mag = np.abs(np.asarray(old_b[kk, nn]))
+            olive = old_mag > 0
+            # Clear the old ±1 entries first, then scatter the new ones — a
+            # sign flip at an unchanged magnitude lands on the same slot and
+            # must end at the new sign.
+            plan.big_h[kk[olive] * v + slot[old_mag[olive]], nn[olive]] = 0
+            plan.big_h[kk[live] * v + slot[new_mag[live]], nn[live]] = np.sign(
+                new_vals[live]
+            ).astype(plan.dtype)
     met.observe("plan_cache.repair", int(kk.size))
     return True
 
@@ -515,6 +566,8 @@ def cache_stats() -> dict:
     workspace allocations are histograms of their size: the count is the
     number of events, the sum the bytes (changed weight codes for a
     repair), reported under ``<key>_bytes`` when non-zero.
+    ``plan_built_bitplane`` counts the builds that chose the bit-plane
+    basis (:func:`build_plan`).
     """
     snapshot = met.get_metrics().snapshot()
     counters, histograms = snapshot["counters"], snapshot["histograms"]
@@ -522,6 +575,7 @@ def cache_stats() -> dict:
         f"plan_cache_{event}": int(counters.get(f"plan_cache.{event}", 0))
         for event in ("hit", "miss", "revalidate", "bypass")
     }
+    out["plan_built_bitplane"] = int(counters.get("plan_cache.build_bitplane", 0))
     for key, event in (
         ("plan_built", "build"),
         ("plan_repaired", "repair"),

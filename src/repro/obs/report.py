@@ -54,8 +54,9 @@ class RunSummary:
     def plan_cache(self) -> dict:
         """Kernel-plan cache pressure (the profile's ``plan_cache.*`` rows).
 
-        Keyed by event (``hit``, ``miss``, ``build``, ...); sized events
-        (builds, repairs, workspace allocations) add ``<event>_bytes``.
+        Keyed by event (``hit``, ``miss``, ``build``, ``build_bitplane``,
+        ...); sized events (builds, repairs, workspace allocations) add
+        ``<event>_bytes``.
         """
         out = {}
         for row in self.counters:
@@ -238,7 +239,8 @@ def render_summary(summary: RunSummary) -> str:
             f"revalidates {cache.get('revalidate', 0)}  "
             f"bypasses {cache.get('bypass', 0)}  "
             f"plans built {cache.get('build', 0)} "
-            f"({cache.get('build_bytes', 0)} bytes)  "
+            f"({cache.get('build_bytes', 0)} bytes, "
+            f"{cache.get('build_bitplane', 0)} bit-plane)  "
             f"repaired {cache.get('repair', 0)}  "
             f"workspace allocs {cache.get('workspace_alloc', 0)} "
             f"({cache.get('workspace_alloc_bytes', 0)} bytes){rate}"

@@ -10,8 +10,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.approx import get_multiplier
+from repro.approx import Multiplier, available_multipliers, get_multiplier
 from repro.approx.gemm import ROW_BLOCK, approx_matmul
 from repro.approx.plan import (
     GemmPlan,
@@ -24,7 +26,17 @@ from repro.approx.plan import (
     repair_plan,
     workspace_pool,
 )
+from repro.approx.truncated import BiasCorrectedTruncatedMultiplier
+from repro.autograd import Tensor
+from repro.autograd.grad_mode import no_grad
 from repro.errors import MultiplierError, ShapeError
+from repro.models import resnet20
+from repro.quant import calibrate_model, quant_layers, quantize_model
+from repro.quant.qfunction import _maybe_plan
+from repro.sim import attach_multiplier
+
+TRUNCATED = [f"truncated{t}" for t in range(1, 6)]
+EVOAPPROX = [name for name in available_multipliers() if name.startswith("evoapprox")]
 
 
 def _random_operands(rng, multiplier, m=37, k=29, n=11):
@@ -70,6 +82,7 @@ class TestPlanBitwiseEquivalence:
         a = rng.integers(-127, 128, size=(9, 20), dtype=np.int32)
         plan = build_plan(b, mult)
         assert plan.num_values == 2
+        assert not plan.bitplane  # fewer magnitudes than bit planes
         np.testing.assert_array_equal(
             approx_matmul(a, b, mult, plan=plan), approx_matmul(a, b, mult)
         )
@@ -177,6 +190,22 @@ class TestWorkspacePool:
         for buf in bufs:
             pool.give(buf)
         assert pool.stats()["pooled_buffers"] == 2
+
+    def test_undersized_free_buffers_are_released(self):
+        pool = WorkspacePool()
+        small = pool.take(16, np.float32)
+        pool.give(small)
+        other = pool.take(16, np.int32)
+        pool.give(other)
+        large = pool.take(64, np.float32)  # nothing pooled fits
+        assert large.size == 64
+        # the 16-element float32 buffer is gone; the int32 one is kept
+        assert pool.stats() == {
+            "pooled_buffers": 1,
+            "allocated_bytes": large.nbytes + other.nbytes,
+        }
+        pool.give(large)
+        assert pool.take(16, np.float32) is large
 
     def test_clear_resets_accounting(self):
         pool = WorkspacePool()
@@ -319,6 +348,7 @@ class TestRepairPlan:
         plan = build_plan(b, mult)
         new_b = b.copy()
         new_b[0, 0] = 7  # magnitude 7 has no slot in this plan
+        assert not plan.bitplane
         assert not repair_plan(plan, b, new_b)
 
     def test_shape_mismatch_declines(self, rng):
@@ -333,6 +363,7 @@ class TestRepairPlan:
         plan = build_plan(b, mult)
         new_b = b.copy()
         new_b[0, 0] = 1
+        assert not plan.bitplane
         assert not repair_plan(plan, b, new_b)
 
     def test_precomputed_changed_indices_match_full_diff(self, rng):
@@ -349,3 +380,178 @@ class TestRepairPlan:
         assert repair_plan(plan_full, b, new_b)
         assert repair_plan(plan_pre, b, new_b, changed=np.nonzero(b != new_b))
         np.testing.assert_array_equal(plan_full.big_h, plan_pre.big_h)
+
+
+def _pp_lut(kept: set[tuple[int, int]], x_bits: int = 8, w_bits: int = 4) -> np.ndarray:
+    """Partial-product LUT summing only the ``a_i·b_j`` bits in ``kept``."""
+    a = np.arange(2**x_bits, dtype=np.int64)[:, None]
+    b = np.arange(2**w_bits, dtype=np.int64)[None, :]
+    out = np.zeros((2**x_bits, 2**w_bits), dtype=np.int64)
+    for i, j in kept:
+        out += ((a >> i) & 1) * ((b >> j) & 1) * (1 << (i + j))
+    return out.astype(np.int32)
+
+
+def _all_magnitudes(rng, k, n, whi=7):
+    """Random weight codes in which every magnitude ``1..whi`` occurs."""
+    b = rng.integers(-whi, whi + 1, size=(k, n), dtype=np.int32)
+    b.flat[:whi] = np.arange(1, whi + 1)
+    return b
+
+
+class TestBitplanePlans:
+    """Bit-plane plans for multipliers whose LUT is linear in the weight bits."""
+
+    def test_classification(self):
+        for name in TRUNCATED:
+            assert get_multiplier(name).is_weight_bit_linear, name
+        for name in EVOAPPROX:
+            assert not get_multiplier(name).is_weight_bit_linear, name
+        assert not BiasCorrectedTruncatedMultiplier(5).is_weight_bit_linear
+        # exact is linear too, but the layers run it as a plain exact GEMM
+        b = np.arange(-7, 8, dtype=np.int32).reshape(5, 3)
+        assert _maybe_plan(b, get_multiplier("exact")) is None
+
+    @pytest.mark.parametrize("name", TRUNCATED + ["evoapprox228"])
+    def test_basis_follows_the_lut(self, name, rng):
+        mult = get_multiplier(name)
+        plan = build_plan(_all_magnitudes(rng, 12, 4), mult)
+        if mult.is_weight_bit_linear:
+            assert plan.bitplane
+            np.testing.assert_array_equal(plan.values, [1, 2, 4])
+        else:
+            assert not plan.bitplane
+            assert plan.num_values == 7
+
+    @pytest.mark.parametrize("regime", ["float32", "float64"])
+    @pytest.mark.parametrize("name", TRUNCATED)
+    def test_matches_reference(self, name, regime, rng):
+        mult = get_multiplier(name)
+        if regime == "float32":
+            m, k, n = 37, 29, 11
+        else:
+            # max|product|*K crosses 2^23: both paths switch to float64
+            m, k, n = 3, int(2.0**23 / float(np.abs(mult.lut).max())) + 10, 2
+        a, _ = _random_operands(rng, mult, m=m, k=k, n=n)
+        b = _all_magnitudes(rng, k, n)
+        plan = build_plan(b, mult)
+        assert plan.bitplane
+        assert plan.use_f32 == (regime == "float32")
+        np.testing.assert_array_equal(
+            approx_matmul(a, b, mult, plan=plan),
+            approx_matmul(a, b, mult, backend="exact-blas"),
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dropped=st.sets(st.tuples(st.integers(0, 7), st.integers(0, 3))),
+        seed=st.integers(0, 2**16),
+    )
+    def test_partial_product_luts_are_bitplane_exact(self, dropped, seed):
+        kept = {(i, j) for i in range(8) for j in range(4)} - dropped
+        mult = Multiplier("pp", _pp_lut(kept))
+        assert mult.is_weight_bit_linear
+        rng = np.random.default_rng(seed)
+        a, _ = _random_operands(rng, mult, m=9, k=16, n=5)
+        b = _all_magnitudes(rng, 16, 5)
+        plan = build_plan(b, mult)
+        assert plan.bitplane
+        np.testing.assert_array_equal(
+            plan.execute(a), approx_matmul(a, b, mult, backend="exact-blas")
+        )
+
+    def _check_repaired(self, rng, mult, old_b, new_b):
+        plan = build_plan(old_b, mult)
+        assert plan.bitplane
+        assert repair_plan(plan, old_b, new_b)
+        fresh = build_plan(new_b, mult)
+        np.testing.assert_array_equal(plan.big_h, fresh.big_h)
+        a, _ = _random_operands(rng, mult, m=9, k=old_b.shape[0], n=1)
+        np.testing.assert_array_equal(plan.execute(a), fresh.execute(a))
+        np.testing.assert_array_equal(
+            plan.execute(a), approx_matmul(a, new_b, mult, backend="exact-blas")
+        )
+
+    def test_repair_sign_flip(self, rng):
+        b = _all_magnitudes(rng, 10, 4)
+        new_b = b.copy()
+        new_b[:3] = -new_b[:3]
+        self._check_repaired(rng, get_multiplier("truncated5"), b, new_b)
+
+    @pytest.mark.parametrize("magnitude", range(8))
+    def test_repair_move_to_any_magnitude(self, magnitude, rng):
+        b = _all_magnitudes(rng, 10, 4)
+        new_b = b.copy()
+        new_b[0, :] = magnitude  # covers every old magnitude 1..4
+        new_b[5, 1] = -magnitude
+        self._check_repaired(rng, get_multiplier("truncated3"), b, new_b)
+
+    def test_repair_move_to_zero(self, rng):
+        b = _all_magnitudes(rng, 10, 4)
+        new_b = b.copy()
+        kk, nn = np.nonzero(b)
+        new_b[kk[:5], nn[:5]] = 0
+        self._check_repaired(rng, get_multiplier("truncated1"), b, new_b)
+
+    def test_repair_refuses_out_of_range_codes(self, rng):
+        b = _all_magnitudes(rng, 10, 4)
+        plan = build_plan(b, get_multiplier("truncated4"))
+        h_before = plan.big_h.copy()
+        new_b = b.copy()
+        new_b[2, 2] = -8  # bit 3 has no plane
+        assert not repair_plan(plan, b, new_b)
+        np.testing.assert_array_equal(plan.big_h, h_before)
+
+    def test_builds_are_counted_by_kind(self, rng, profiled):
+        b = _all_magnitudes(rng, 12, 4)
+        with profiled():
+            build_plan(b, get_multiplier("truncated5"))
+            build_plan(b, get_multiplier("evoapprox228"))
+            stats = cache_stats()
+        assert stats["plan_built"] == 2
+        assert stats["plan_built_bitplane"] == 1
+
+
+class TestGatherVolume:
+    """LUT gather volume per planned GEMM on a warm ResNet20 forward.
+
+    Counts gathered LUT columns, not time, so the gate holds on any
+    hardware: a bit-plane plan gathers ``w_bits - 1`` columns per
+    activation, an indicator plan one per active weight magnitude.
+    """
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(0)
+        model = quantize_model(resnet20(width_mult=0.25, rng=0))
+        calibrate_model(model, [rng.normal(size=(8, 3, 16, 16)).astype(np.float32)])
+        return model.eval()
+
+    def _gathers_per_gemm(self, model, name, profiled):
+        attach_multiplier(model, get_multiplier(name))
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 16, 16)).astype(np.float32))
+        with no_grad():
+            model(x)  # builds every plan
+            with profiled() as rows:
+                model(x)
+        assert rows["plan_cache.hit"]["calls"] == len(list(quant_layers(model)))
+        plans = [
+            entry[2].plan for layer in quant_layers(model)
+            for entry in layer._plan_cache._entries.values()
+        ]
+        ratio = rows["approx.lut_gathered_values"]["calls"] / rows["approx.lut_gather"]["calls"]
+        return ratio, plans
+
+    def test_truncated_gathers_at_most_the_bit_planes(self, model, profiled):
+        ratio, plans = self._gathers_per_gemm(model, "truncated5", profiled)
+        assert ratio <= get_multiplier("truncated5").w_bits - 1
+        assert all(plan.bitplane for plan in plans)
+
+    def test_evoapprox_gathers_its_active_values(self, model, profiled):
+        ratio, plans = self._gathers_per_gemm(model, "evoapprox228", profiled)
+        assert not any(plan.bitplane for plan in plans)
+        # a weighted mean of the plans' active-value counts (row-block
+        # threading, when it fires, executes a plan once per block)
+        values = [plan.num_values for plan in plans]
+        assert min(values) <= ratio <= max(values)
+        assert ratio > get_multiplier("evoapprox228").w_bits - 1

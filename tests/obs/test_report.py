@@ -177,6 +177,20 @@ class TestPlanCacheCounters:
         assert "hits 30  misses 10" in text
         assert "(75.0% hit)" in text
 
+    def test_render_counts_bitplane_builds(self, tmp_path):
+        path = tmp_path / "bitplane.jsonl"
+        with ev.logging_to(path) as log:
+            log.emit(
+                ev.PROFILE,
+                counters=[
+                    {"name": "plan_cache.build", "calls": 4, "sum": 512.0},
+                    {"name": "plan_cache.build_bitplane", "calls": 3},
+                ],
+            )
+        summary = summarize_run(path)
+        assert summary.plan_cache["build_bitplane"] == 3
+        assert "plans built 4 (512 bytes, 3 bit-plane)" in render_summary(summary)
+
     def test_render_omits_section_without_plan_counters(self, tmp_path):
         path = tmp_path / "bare.jsonl"
         log = ev.EventLog(run_id="bare")
