@@ -154,9 +154,9 @@ def bench_gemm(workers: int, smoke: bool) -> dict:
 def bench_eval(workers: int, smoke: bool) -> dict:
     """Repeated-batch eval: per-layer kernel-plan cache on vs off.
 
-    The cached path quantizes the weights, bucketizes them and gathers
-    into a pooled workspace once per layer instead of once per batch; the
-    logits must stay bitwise identical either way.
+    The cached path quantizes and bucketizes the weights once per layer
+    instead of once per batch, and gathers a batch's LUT products in one
+    ``np.take``; the logits must stay bitwise identical either way.
     """
     from repro.approx import get_multiplier, plan_cache_disabled
     from repro.autograd.grad_mode import no_grad

@@ -18,10 +18,10 @@ exact.
 When the weight operand is frozen (every evaluation loop, sweep cell and
 Monte-Carlo run), callers pass a precomputed weight-stationary
 :class:`~repro.approx.plan.GemmPlan` — the per-batch work collapses to one
-pooled-workspace gather plus one BLAS call, bitwise identical to the
-uncached path. For multipliers whose LUT is linear in the weight bits
-(the truncated family) the plan gathers ``w_bits - 1`` bit-plane columns
-instead of one column per active value (``docs/PERFORMANCE.md``).
+LUT gather plus one BLAS call, bitwise identical to the uncached path.
+For multipliers whose LUT is linear in the weight bits (the truncated
+family) the plan gathers ``w_bits - 1`` bit-plane columns instead of one
+column per active value (``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ def approx_matmul(
         A weight-stationary :class:`~repro.approx.plan.GemmPlan` built
         from this exact ``b`` and ``multiplier``
         (:func:`repro.approx.plan.build_plan`). Skips every
-        weight-dependent scan and gathers into a pooled workspace; the
-        result is bitwise identical to the plan-less call.
+        weight-dependent scan and gathers every LUT product in one
+        ``np.take``; the plan checks the range of ``a`` itself. The result
+        is bitwise identical to the plan-less call.
     backend:
         GEMM backend name or instance
         (:mod:`repro.approx.backend`); ``None`` uses the process-wide
@@ -160,8 +161,8 @@ def approx_matmul(
 
     xhi = 2 ** (multiplier.x_bits - 1) - 1
     whi = 2 ** (multiplier.w_bits - 1) - 1
-    check_magnitude(a, xhi, multiplier.name, "a")
     if plan is None:
+        check_magnitude(a, xhi, multiplier.name, "a")
         check_magnitude(b, whi, multiplier.name, "b")
     elif plan.k != a.shape[1] or plan.n != b.shape[1]:
         raise ShapeError(

@@ -23,25 +23,23 @@ per-batch path:
 - a packed ``(2·xhi+1, V)`` LUT slice so the activation gather reads
   ``V`` contiguous products per activation code.
 
-``plan.execute(a)`` then gathers LUT products for a batch directly into a
-pooled workspace buffer (no list-append / ``np.concatenate``) and runs
-one BLAS call. Every product and partial sum is an exactly-represented
-integer, so the result is **bitwise identical** to the uncached
+``plan.execute(a)`` then gathers the LUT products of a batch in a single
+``np.take`` (no list-append / ``np.concatenate``) and runs one BLAS
+call. Every product and partial sum is an exactly-represented integer,
+so the result is **bitwise identical** to the uncached
 :func:`repro.approx.gemm.approx_matmul` path — reordering exact integer
 sums cannot change them.
 
 :class:`PlanCache` is the per-layer memo keyed by a weight-version
 counter (see :class:`repro.nn.parameter.Parameter`); a training step
 bumps the version, so a stale plan is impossible by construction.
-Cache hits/misses/revalidations/bypasses and plan builds (bit-plane
-builds separately), repairs and workspace allocations are counted on the
-metrics registry (``plan_cache.*``) and surfaced by ``repro report`` and
-Prometheus.
+Cache hits/misses/revalidations/bypasses, plan builds (bit-plane builds
+separately) and repairs are counted on the metrics registry
+(``plan_cache.*``) and surfaced by ``repro report`` and Prometheus.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 import numpy as np
@@ -138,83 +136,15 @@ class train_plans_disabled:
 def check_magnitude(codes: np.ndarray, bound: int, name: str, operand: str) -> None:
     """Reject operand codes outside the symmetric ``[-bound, bound]`` range."""
     if codes.size:
-        mag = np.abs(codes).max()
+        # Python ints from min/max: no |codes| copy, and no wrap-around at
+        # the most negative code (np.abs of an int32 minimum is negative).
+        mag = max(-int(codes.min()), int(codes.max()))
         if mag > bound:
             raise MultiplierError(
                 f"{name}: magnitude of operand {operand} exceeds the symmetric "
-                f"range (max {int(mag)} > {bound}); quantize into the symmetric "
+                f"range (max {mag} > {bound}); quantize into the symmetric "
                 "range first"
             )
-
-
-class WorkspacePool:
-    """Reusable gather buffers shared across plans and threads.
-
-    ``take`` hands out a 1-D buffer of at least the requested size
-    (power-of-two rounded so consecutive batch sizes reuse one
-    allocation); ``give`` returns it. Concurrent row-block threads each
-    take a distinct buffer, so plan execution never shares scratch
-    memory. The pool keeps at most ``max_buffers`` per dtype, and a
-    ``take`` that no free buffer satisfies releases that dtype's free
-    buffers (they are all too small) before allocating.
-    """
-
-    def __init__(self, max_buffers: int = 8):
-        self._lock = threading.Lock()
-        self._free: dict[str, list[np.ndarray]] = {}
-        self._allocated_bytes = 0
-        self.max_buffers = max_buffers
-
-    def take(self, size: int, dtype: np.dtype) -> np.ndarray:
-        key = np.dtype(dtype).str
-        with self._lock:
-            free = self._free.get(key, [])
-            best = None
-            for index, buf in enumerate(free):
-                if buf.size >= size and (best is None or buf.size < free[best].size):
-                    best = index
-            if best is not None:
-                return free.pop(best)
-            # Nothing fits: the free buffers of this dtype are all too small
-            # for the current shapes, so drop them instead of pooling both
-            # the small and the new large set.
-            self._allocated_bytes -= sum(buf.nbytes for buf in free)
-            free.clear()
-        rounded = 1 << max(int(size) - 1, 0).bit_length()
-        buf = np.empty(rounded, dtype=dtype)
-        with self._lock:
-            self._allocated_bytes += buf.nbytes
-        met.observe("plan_cache.workspace_alloc", buf.nbytes)
-        return buf
-
-    def give(self, buf: np.ndarray) -> None:
-        key = buf.dtype.str
-        with self._lock:
-            free = self._free.setdefault(key, [])
-            if len(free) < self.max_buffers:
-                free.append(buf)
-            else:
-                self._allocated_bytes -= buf.nbytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._free.clear()
-            self._allocated_bytes = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            pooled = sum(len(bufs) for bufs in self._free.values())
-            return {"pooled_buffers": pooled, "allocated_bytes": self._allocated_bytes}
-
-
-# Process-wide pool: evaluation loops, sweeps and Monte-Carlo draws all
-# gather into the same recycled buffers.
-_workspace = WorkspacePool()
-
-
-def workspace_pool() -> WorkspacePool:
-    """The process-wide gather-buffer pool."""
-    return _workspace
 
 
 class LayerKernelState:
@@ -263,7 +193,7 @@ class GemmPlan:
 
     Built once per (weights, multiplier) via :func:`build_plan`; executed
     per batch via :meth:`execute`. Instances are safe to share across
-    threads for execution (scratch space comes from the pool); the single
+    threads for execution (each call gathers into its own array); the single
     sanctioned mutation is :func:`repair_plan`, which the training loop
     applies between batches to absorb sparse weight-code drift.
     """
@@ -308,36 +238,29 @@ class GemmPlan:
         """The approximate GEMM ``a @ B`` for one (row block of) ``a``.
 
         ``a`` must hold integer codes within the multiplier's symmetric
-        x-range (the caller checks, exactly like the uncached path).
+        x-range; codes outside it raise :class:`MultiplierError` (a
+        negative LUT row index would otherwise wrap to a wrong product).
         """
         m, k = a.shape
         if k != self.k:
             raise ShapeError(
                 f"plan for reduce dim {self.k} applied to operand with {k} columns"
             )
+        check_magnitude(a, self.xhi, self.multiplier_name, "a")
         v = self.num_values
         if v == 0:
             return np.zeros((m, self.n), dtype=np.int64)
         itemsize = self.dtype.itemsize
-        buf = _workspace.take(m * k * v, self.dtype)
-        idx_buf = _workspace.take(m * k, np.dtype(np.int32))
-        try:
-            gathered = buf[: m * k * v].reshape(m * k, v)
-            with tr.span("approx.lut_gather", nbytes=a.nbytes):
-                # Shift codes into LUT row indices in a pooled int32 buffer:
-                # xhi < 2^15, so the shifted index always fits, and skipping
-                # the intp conversion avoids a fresh m*k allocation per batch.
-                idx = idx_buf[: m * k].reshape(m, k)
-                np.add(a, self.xhi, out=idx, casting="unsafe")
-                np.take(self.lut_rows, idx.reshape(-1), axis=0, out=gathered)
-            met.inc("approx.lut_gathered_values", v)
-            with tr.span(
-                "approx.matmul_blas", nbytes=(m * k * v + k * v * self.n) * itemsize
-            ):
-                y = gathered.reshape(m, k * v) @ self.big_h
-        finally:
-            _workspace.give(buf)
-            _workspace.give(idx_buf)
+        with tr.span("approx.lut_gather", nbytes=a.nbytes):
+            idx = np.add(a, self.xhi, dtype=np.intp).reshape(-1)
+            # No ``out=``: in the default "raise" mode NumPy gathers into a
+            # temporary and copies it into ``out``, doing the gather twice.
+            gathered = np.take(self.lut_rows, idx, axis=0)
+        met.inc("approx.lut_gathered_values", v)
+        with tr.span(
+            "approx.matmul_blas", nbytes=(m * k * v + k * v * self.n) * itemsize
+        ):
+            y = gathered.reshape(m, k * v) @ self.big_h
         return np.rint(y).astype(np.int64)
 
 
@@ -562,10 +485,10 @@ def cache_stats() -> dict:
 
     Reads the metrics registry, so it is only populated while metrics are
     recorded (``repro ... --metrics`` or ``--profile``, or
-    :class:`repro.obs.metrics.collecting_metrics`). Builds, repairs and
-    workspace allocations are histograms of their size: the count is the
-    number of events, the sum the bytes (changed weight codes for a
-    repair), reported under ``<key>_bytes`` when non-zero.
+    :class:`repro.obs.metrics.collecting_metrics`). Builds and repairs
+    are histograms of their size: the count is the number of events, the
+    sum the bytes (changed weight codes for a repair), reported under
+    ``<key>_bytes`` when non-zero.
     ``plan_built_bitplane`` counts the builds that chose the bit-plane
     basis (:func:`build_plan`).
     """
@@ -576,11 +499,7 @@ def cache_stats() -> dict:
         for event in ("hit", "miss", "revalidate", "bypass")
     }
     out["plan_built_bitplane"] = int(counters.get("plan_cache.build_bitplane", 0))
-    for key, event in (
-        ("plan_built", "build"),
-        ("plan_repaired", "repair"),
-        ("plan_workspace_alloc", "workspace_alloc"),
-    ):
+    for key, event in (("plan_built", "build"), ("plan_repaired", "repair")):
         sized = histograms.get(f"plan_cache.{event}", {})
         out[key] = int(sized.get("count", 0))
         if sized.get("sum"):

@@ -100,8 +100,8 @@ def _simulate_chunk(
             exact = exact_int_matmul(a, b)
             # Each draw has fresh weights, so there is nothing to cache across
             # draws — but building a plan still wins: one bucketization pass
-            # over b instead of 2·whi boolean scans, and every draw gathers
-            # into the same pooled workspace buffer.
+            # over b instead of 2·whi boolean scans, and one LUT gather per
+            # draw instead of one per active weight value.
             plan = build_plan(b, multiplier) if use_plans else None
             approx = approx_matmul(a, b, multiplier, plan=plan)
             out.append((exact.reshape(-1), (approx - exact).reshape(-1)))

@@ -55,8 +55,7 @@ class RunSummary:
         """Kernel-plan cache pressure (the profile's ``plan_cache.*`` rows).
 
         Keyed by event (``hit``, ``miss``, ``build``, ``build_bitplane``,
-        ...); sized events (builds, repairs, workspace allocations) add
-        ``<event>_bytes``.
+        ...); sized events (builds, repairs) add ``<event>_bytes``.
         """
         out = {}
         for row in self.counters:
@@ -241,9 +240,7 @@ def render_summary(summary: RunSummary) -> str:
             f"plans built {cache.get('build', 0)} "
             f"({cache.get('build_bytes', 0)} bytes, "
             f"{cache.get('build_bitplane', 0)} bit-plane)  "
-            f"repaired {cache.get('repair', 0)}  "
-            f"workspace allocs {cache.get('workspace_alloc', 0)} "
-            f"({cache.get('workspace_alloc_bytes', 0)} bytes){rate}"
+            f"repaired {cache.get('repair', 0)}{rate}"
         )
     quantiles = summary.latency_quantiles()
     if quantiles:

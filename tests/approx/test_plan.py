@@ -1,4 +1,4 @@
-"""Weight-stationary kernel plans: bitwise equivalence, pooling, caching.
+"""Weight-stationary kernel plans: bitwise equivalence, caching.
 
 The plan path (``repro.approx.plan``) must be bitwise identical to the
 uncached reference GEMM in every precision regime — its whole correctness
@@ -18,13 +18,12 @@ from repro.approx.gemm import ROW_BLOCK, approx_matmul
 from repro.approx.plan import (
     GemmPlan,
     PlanCache,
-    WorkspacePool,
     build_plan,
     cache_stats,
+    check_magnitude,
     plan_cache_disabled,
     plan_caching_enabled,
     repair_plan,
-    workspace_pool,
 )
 from repro.approx.truncated import BiasCorrectedTruncatedMultiplier
 from repro.autograd import Tensor
@@ -160,71 +159,38 @@ class TestPlanValidation:
         with pytest.raises(ShapeError):
             plan.execute(np.zeros((3, 7), dtype=np.int32))
 
+    @pytest.mark.parametrize(
+        "name,b,bitplane",
+        [
+            # one active weight value: an indicator plan on any multiplier
+            ("evoapprox228", np.full((1, 1), 3), False),
+            # every magnitude 1..7 on a truncated design: a bit-plane plan
+            ("truncated5", np.arange(-7, 8).reshape(1, 15), True),
+        ],
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_execute_rejects_out_of_range_activations(self, name, b, bitplane, sign):
+        mult = get_multiplier(name)
+        plan = build_plan(b.astype(np.int32), mult)
+        assert plan.bitplane is bitplane
+        xhi = 2 ** (mult.x_bits - 1) - 1
+        plan.execute(np.array([[sign * xhi]], dtype=np.int32))  # in range
+        bad = np.array([[sign * (xhi + 1)]], dtype=np.int32)
+        with pytest.raises(MultiplierError, match="operand a"):
+            plan.execute(bad)
+        with pytest.raises(MultiplierError, match="operand a"):
+            approx_matmul(bad, b, mult, plan=plan)
 
-class TestWorkspacePool:
-    def test_round_trip_reuses_buffer(self):
-        pool = WorkspacePool()
-        buf = pool.take(100, np.float32)
-        assert buf.size >= 100
-        pool.give(buf)
-        again = pool.take(80, np.float32)
-        assert again is buf
-        assert pool.stats()["pooled_buffers"] == 0
-
-    def test_sizes_round_to_powers_of_two(self):
-        pool = WorkspacePool()
-        assert pool.take(100, np.float64).size == 128
-        assert pool.take(1, np.float64).size == 1
-
-    def test_dtypes_are_segregated(self):
-        pool = WorkspacePool()
-        f32 = pool.take(64, np.float32)
-        pool.give(f32)
-        f64 = pool.take(64, np.float64)
-        assert f64 is not f32
-        assert f64.dtype == np.float64
-
-    def test_capacity_cap_drops_excess_buffers(self):
-        pool = WorkspacePool(max_buffers=2)
-        bufs = [pool.take(2 ** (4 + i), np.float32) for i in range(4)]
-        for buf in bufs:
-            pool.give(buf)
-        assert pool.stats()["pooled_buffers"] == 2
-
-    def test_undersized_free_buffers_are_released(self):
-        pool = WorkspacePool()
-        small = pool.take(16, np.float32)
-        pool.give(small)
-        other = pool.take(16, np.int32)
-        pool.give(other)
-        large = pool.take(64, np.float32)  # nothing pooled fits
-        assert large.size == 64
-        # the 16-element float32 buffer is gone; the int32 one is kept
-        assert pool.stats() == {
-            "pooled_buffers": 1,
-            "allocated_bytes": large.nbytes + other.nbytes,
-        }
-        pool.give(large)
-        assert pool.take(16, np.float32) is large
-
-    def test_clear_resets_accounting(self):
-        pool = WorkspacePool()
-        pool.give(pool.take(32, np.float32))
-        pool.clear()
-        stats = pool.stats()
-        assert stats == {"pooled_buffers": 0, "allocated_bytes": 0}
-
-    def test_process_pool_is_exercised_by_plans(self):
-        pool = workspace_pool()
-        mult = get_multiplier("truncated4")
-        rng = np.random.default_rng(5)
-        a, b = _random_operands(rng, mult, m=6, k=10, n=3)
-        plan = build_plan(b, mult)
-        plan.execute(a)
-        before = pool.stats()["allocated_bytes"]
-        for _ in range(5):  # repeated batches must not grow the pool
-            plan.execute(a)
-        assert pool.stats()["allocated_bytes"] == before
+    def test_int32_minimum_is_rejected_not_overflowed(self):
+        mult = get_multiplier("truncated3")
+        b = np.ones((1, 1), dtype=np.int32)
+        a = np.array([[np.iinfo(np.int32).min]], dtype=np.int32)
+        with pytest.raises(MultiplierError, match="2147483648"):
+            check_magnitude(a, 127, mult.name, "a")
+        with pytest.raises(MultiplierError):
+            approx_matmul(a, b, mult)
+        with pytest.raises(MultiplierError):
+            build_plan(b, mult).execute(a)
 
 
 class TestPlanCache:
@@ -272,6 +238,14 @@ class TestPlanCache:
         assert stats["plan_cache_miss"] == 2
         assert stats["plan_cache_hit"] == 1
         assert stats["plan_cache_bypass"] == 1
+
+    def test_stats_keys(self, profiled):
+        with profiled():
+            stats = cache_stats()
+        assert set(stats) == {
+            "plan_cache_hit", "plan_cache_miss", "plan_cache_revalidate",
+            "plan_cache_bypass", "plan_built_bitplane", "plan_built", "plan_repaired",
+        }
 
     def test_clones_and_pickles_start_empty(self):
         cache = PlanCache()

@@ -36,7 +36,7 @@ def run_log(tmp_path):
             {"name": "plan_cache.hit", "calls": 30},
             {"name": "plan_cache.miss", "calls": 10},
             {"name": "plan_cache.build", "calls": 10, "sum": 4096.0},
-            {"name": "plan_cache.workspace_alloc", "calls": 2, "sum": 8192.0},
+            {"name": "plan_cache.repair", "calls": 2, "sum": 8192.0},
             {"name": "ge.montecarlo_simulations", "calls": 50},
         ],
     )
@@ -167,7 +167,7 @@ class TestPlanCacheCounters:
         assert cache["miss"] == 10
         assert cache["build"] == 10
         assert cache["build_bytes"] == 4096
-        assert cache["workspace_alloc_bytes"] == 8192
+        assert cache["repair_bytes"] == 8192
         # non-plan counters are kept out of the plan-cache view
         assert "montecarlo_simulations" not in cache
 
@@ -175,7 +175,7 @@ class TestPlanCacheCounters:
         text = render_summary(summarize_run(run_log))
         assert "plan cache:" in text
         assert "hits 30  misses 10" in text
-        assert "(75.0% hit)" in text
+        assert "repaired 2  (75.0% hit)" in text
 
     def test_render_counts_bitplane_builds(self, tmp_path):
         path = tmp_path / "bitplane.jsonl"
