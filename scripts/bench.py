@@ -11,9 +11,13 @@ Times the parallelised hot paths (``docs/PERFORMANCE.md``) serially and at
 - **montecarlo** — Monte-Carlo error profiling of one multiplier
   (process pool over simulation chunks, bit-identical to serial);
 - **gemm** — a large approximate GEMM (threaded row blocks);
-- **eval** — repeated-batch evaluation of a quantized MLP with an
-  approximate multiplier attached, with the per-layer plan cache on vs
-  off (``repro.approx.plan``); outputs are asserted bitwise identical.
+- **eval** — warm ResNet20 (width 0.25, 16x16 inputs) evaluation with
+  the exact, truncated5 and evoapprox228 multipliers at batch 16 and 64:
+  wall time, minor page faults and the approximate/exact ratios, plus
+  truncated5 with the per-layer plan cache on vs off
+  (``repro.approx.plan``); outputs are asserted bitwise identical. The
+  full run is committed as ``BENCH_eval.json``; ``--baseline`` embeds an
+  earlier run of the same bench (e.g. on the parent commit) in it.
 - **train** — repeated-batch retraining (forward + backward + SGD step)
   of an approximate MLP and CNN under three configurations: fully
   uncached, forward-plan-cache only (the pre-training-plans behaviour)
@@ -40,6 +44,8 @@ Usage::
         [--require-train-speedup 1.0]
     PYTHONPATH=src python scripts/bench.py --analytic \
         --out BENCH_analytic.json --require-analytic-speedup 10
+    PYTHONPATH=src python scripts/bench.py --only eval \
+        --baseline parent_eval.json --out BENCH_eval.json
 """
 
 from __future__ import annotations
@@ -152,60 +158,96 @@ def bench_gemm(workers: int, smoke: bool) -> dict:
 
 
 def bench_eval(workers: int, smoke: bool) -> dict:
-    """Repeated-batch eval: per-layer kernel-plan cache on vs off.
+    """Warm ResNet20 eval: exact, truncated5 and evoapprox228 at batch 16 and 64.
 
-    The cached path quantizes and bucketizes the weights once per layer
-    instead of once per batch, and gathers a batch's LUT products in one
-    ``np.take``; the logits must stay bitwise identical either way.
+    ResNet20 at width 0.25 on 16x16 inputs, 512 samples (64 with
+    ``--smoke``), every plan built before timing. Each (multiplier, batch)
+    cell reports the median wall time and minor page faults
+    (``ru_minflt``) over its repeats, which take turns with the other
+    cells; ``ratios`` gives each approximate multiplier's time over exact
+    at the same batch. The CI gate compares cached against uncached
+    (``plan_cache_disabled``) truncated5 eval at batch 16, whose logits
+    must be bitwise identical.
     """
+    import copy
+    import resource
+
     from repro.approx import get_multiplier, plan_cache_disabled
     from repro.autograd.grad_mode import no_grad
     from repro.autograd.tensor import Tensor
-    from repro.quant import QuantLinear
+    from repro.models import resnet20
+    from repro.quant import calibrate_model, quantize_model
+    from repro.sim import attach_multiplier
 
-    mult = get_multiplier("truncated4")
-    dims = [256, 512, 512, 10]
-    batch = 32 if smoke else 128
-    batches = 4 if smoke else 8
+    samples = 64 if smoke else 512
+    repeats = 1 if smoke else 7
+    batches = (16, 64)
+    names = ("exact", "truncated5", "evoapprox228")
     rng = np.random.default_rng(0)
-    layers = []
-    for din, dout in zip(dims[:-1], dims[1:]):
-        layer = QuantLinear(din, dout, rng=rng)
-        layer.act_step, layer.weight_step = 1 / 16, 1 / 8
-        layer.weight.data = np.clip(layer.weight.data, -0.8, 0.8)
-        layer.set_multiplier(mult)
-        layer.eval()
-        layers.append(layer)
-    xs = [rng.normal(size=(batch, dims[0])).astype(np.float32) for _ in range(batches)]
+    base = quantize_model(resnet20(width_mult=0.25, rng=0))
+    calibrate_model(base, [rng.normal(size=(32, 3, 16, 16)).astype(np.float32)])
+    x = rng.normal(size=(samples, 3, 16, 16)).astype(np.float32)
+    # One model per multiplier, so every plan stays warm while the cells
+    # take turns: each repeat times every cell once, which spreads drift
+    # in machine load evenly over the cells.
+    models = {}
+    for name in names:
+        models[name] = copy.deepcopy(base).eval()
+        attach_multiplier(models[name], get_multiplier(name))
 
-    def run() -> np.ndarray:
+    def run(model, batch: int) -> np.ndarray:
         with no_grad():
-            outs = []
-            for xb in xs:
-                h = Tensor(xb)
-                for layer in layers:
-                    h = layer(h)
-                outs.append(h.data)
-        return np.concatenate(outs)
+            return np.concatenate(
+                [model(Tensor(x[i : i + batch])).data for i in range(0, samples, batch)]
+            )
 
-    run()  # warm the LUT caches out of the timed region
+    def minflt() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    keys = [(name, batch) for name in names for batch in batches]
+    times = {key: [] for key in keys}
+    faults = {key: [] for key in keys}
+    for name, batch in keys:
+        run(models[name], batch)  # builds the plans and warms the LUT caches
+    for _ in range(repeats):
+        for name, batch in keys:
+            before = minflt()
+            times[name, batch].append(_timed(lambda: run(models[name], batch)))
+            faults[name, batch].append(minflt() - before)
+    cells = [
+        {
+            "multiplier": name,
+            "batch_size": batch,
+            "eval_s": round(float(np.median(times[name, batch])), 4),
+            "minflt": int(np.median(faults[name, batch])),
+        }
+        for name, batch in keys
+    ]
+    eval_s = {(c["multiplier"], c["batch_size"]): c["eval_s"] for c in cells}
+    ratios = {
+        f"{name}/exact@{batch}": round(eval_s[name, batch] / eval_s["exact", batch], 3)
+        for name in ("truncated5", "evoapprox228")
+        for batch in batches
+    }
+
+    model = models["truncated5"]
+    cached_out = run(model, batches[0])
+    cached_s = eval_s["truncated5", batches[0]]
     with plan_cache_disabled():
-        reference = run()
-        uncached_s = _timed(run)
-    for layer in layers:
-        layer._plan_cache.clear()
-    cached_out = run()  # timed runs below are all plan-cache hits
-    cached_s = _timed(run)
+        reference = run(model, batches[0])
+        uncached_s = _timed(lambda: run(model, batches[0]))
     if not np.array_equal(cached_out, reference):
         raise AssertionError("cached eval is not bitwise identical to uncached")
     return {
         "bench": "eval",
+        "model": "resnet20(width_mult=0.25), 16x16",
+        "samples": samples,
+        "repeats": repeats,
+        "cells": cells,
+        "ratios": ratios,
         "uncached_s": round(uncached_s, 4),
-        "cached_s": round(cached_s, 4),
+        "cached_s": cached_s,
         "speedup": round(uncached_s / cached_s, 3) if cached_s > 0 else None,
-        "batches": batches,
-        "batch_size": batch,
-        "layer_dims": dims,
         "bitwise_identical": True,
     }
 
@@ -475,20 +517,35 @@ def main(argv: list[str] | None = None) -> int:
              "analytic-vs-Monte-Carlo speedup is at least MIN and every "
              "candidate's models cross-validate (CI regression gate)",
     )
+    parser.add_argument(
+        "--baseline", default=None, metavar="PATH",
+        help="embed an earlier bench JSON (same benches, e.g. run on the "
+             "parent commit) under the output's 'baseline' key",
+    )
     args = parser.parse_args(argv)
     if args.analytic:
         args.only = (args.only or []) + ["analytic"]
 
-    from repro.utils.serialization import save_results
+    from repro.utils.serialization import load_results, save_results
 
     results = []
     for name in args.only or sorted(BENCHES):
         print(f"bench: {name} (workers={args.workers})", flush=True)
         entry = BENCHES[name](args.workers, args.smoke)
         if name == "eval":
+            for cell in entry["cells"]:
+                print(
+                    f"  {cell['multiplier']:>12} batch {cell['batch_size']:>2}"
+                    f"  {cell['eval_s'] * 1e3:7.1f} ms  {cell['minflt']:>7} minor faults",
+                    flush=True,
+                )
             print(
-                f"  uncached {entry['uncached_s']:.2f}s  cached {entry['cached_s']:.2f}s"
-                f"  speedup {entry['speedup']}x",
+                "  " + "  ".join(f"{k} {v}x" for k, v in entry["ratios"].items()),
+                flush=True,
+            )
+            print(
+                f"  truncated5 uncached {entry['uncached_s']:.2f}s  cached "
+                f"{entry['cached_s']:.2f}s  speedup {entry['speedup']}x",
                 flush=True,
             )
         elif name == "train":
@@ -526,10 +583,16 @@ def main(argv: list[str] | None = None) -> int:
             "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas_threads": {
+                k: os.environ.get(k)
+                for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            },
             "provenance": provenance(),
         },
         "results": results,
     }
+    if args.baseline:
+        payload["baseline"] = load_results(args.baseline)
     save_results(payload, args.out)
     print(f"wrote {args.out}")
 

@@ -35,6 +35,7 @@ from repro.approx.backend import (
 )
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import GemmPlan, check_magnitude
+from repro.approx.registry import as_multiplier
 from repro.errors import MultiplierError, ShapeError
 from repro.obs import metrics as met
 from repro.obs import trace as tr
@@ -112,7 +113,7 @@ def exact_int_matmul_cached(a: np.ndarray, b: np.ndarray, cache: dict) -> np.nda
 def approx_matmul(
     a: np.ndarray,
     b: np.ndarray,
-    multiplier: Multiplier,
+    multiplier: str | Multiplier,
     workers: int | None = None,
     plan: GemmPlan | None = None,
     backend: str | GemmBackend | None = None,
@@ -127,6 +128,9 @@ def approx_matmul(
     b:
         Signed integer codes of shape (K, N); magnitudes must fit the
         multiplier's ``w_bits`` unsigned domain.
+    multiplier:
+        A :class:`~repro.approx.multiplier.Multiplier` or a registry name
+        (:func:`repro.approx.registry.as_multiplier`).
     workers:
         Evaluate independent row blocks of ``a`` on this many threads when
         M spans several blocks and the machine has more than one usable
@@ -153,6 +157,7 @@ def approx_matmul(
         raise ShapeError(f"incompatible GEMM shapes {a.shape} x {b.shape}")
     if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise MultiplierError("approx_matmul operates on integer codes")
+    multiplier = as_multiplier(multiplier)
     resolved = get_backend(backend)
     if multiplier.is_exact:
         return exact_int_matmul(a, b, backend=resolved)
@@ -243,6 +248,7 @@ def _approx_matmul_block(
     if not gathered:
         return np.zeros((m, n), dtype=np.int64)
     met.inc("approx.lut_gathered_values", len(gathered))
+    met.inc("approx.lut_gathered_elems", m * k * len(gathered))
     # One fused BLAS call over all active weight values.
     with tr.span(
         "approx.matmul_blas", nbytes=len(gathered) * (m * k + k * n) * itemsize

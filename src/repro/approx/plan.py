@@ -25,14 +25,20 @@ per-batch path:
 
 ``plan.execute(a)`` then gathers the LUT products of a batch in a single
 ``np.take`` (no list-append / ``np.concatenate``) and runs one BLAS
-call. Every product and partial sum is an exactly-represented integer,
-so the result is **bitwise identical** to the uncached
-:func:`repro.approx.gemm.approx_matmul` path — reordering exact integer
-sums cannot change them.
+call. ``plan.execute_conv(codes, kernel, stride, padding)`` is the same
+GEMM for a dense convolution: it gathers the products of every padded
+NHWC activation once and unfolds the gathered products rather than the
+codes, against a plan whose rows run in ``(kh, kw, c)`` order. Every
+product and partial sum is an exactly-represented integer, so either
+result is **bitwise identical** to the uncached
+:func:`repro.approx.gemm.approx_matmul` path (after ``im2col`` for a
+convolution) — reordering exact integer sums cannot change them.
 
 :class:`PlanCache` is the per-layer memo keyed by a weight-version
 counter (see :class:`repro.nn.parameter.Parameter`); a training step
-bumps the version, so a stale plan is impossible by construction.
+bumps the version, so a stale plan is impossible by construction. The
+switches that force the uncached reference (:class:`plan_cache_disabled`,
+:class:`train_plans_disabled`) are scoped to the calling thread.
 Cache hits/misses/revalidations/bypasses, plan builds (bit-plane builds
 separately) and repairs are counted on the metrics registry
 (``plan_cache.*``) and surfaced by ``repro report`` and Prometheus.
@@ -40,11 +46,15 @@ separately) and repairs are counted on the metrics registry
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.approx.multiplier import Multiplier
+from repro.approx.registry import as_multiplier
+from repro.autograd.im2col import conv_out_size
 from repro.errors import MultiplierError, ShapeError
 from repro.obs import metrics as met
 from repro.obs import trace as tr
@@ -54,36 +64,38 @@ from repro.obs import trace as tr
 # tier table lives in docs/PERFORMANCE.md.
 _EXACT_FLOAT32_BOUND = 2.0**23
 
-_caching_enabled = True
-_train_plans_enabled = True
+# Both switches are per thread: a ``plan_cache_disabled()`` block on one
+# thread (a reference run) must not move serve replicas or other callers
+# on other threads onto the uncached path. Unset means enabled.
+_scope = threading.local()
 
 
 def enable_plan_cache() -> None:
-    """Re-enable plan caching (the default state)."""
-    global _caching_enabled
-    _caching_enabled = True
+    """Re-enable plan caching on this thread (the default state)."""
+    _scope.caching = True
 
 
 def disable_plan_cache() -> None:
-    """Disable plan caching: every lookup rebuilds, nothing is stored."""
-    global _caching_enabled
-    _caching_enabled = False
+    """Disable plan caching on this thread: every lookup rebuilds,
+    nothing is stored."""
+    _scope.caching = False
 
 
 def plan_caching_enabled() -> bool:
-    """Whether :class:`PlanCache` lookups may reuse stored plans."""
-    return _caching_enabled
+    """Whether :class:`PlanCache` lookups on this thread may reuse stored plans."""
+    return getattr(_scope, "caching", True)
 
 
 class plan_cache_disabled:
-    """Context manager running a block with plan caching off.
+    """Context manager running a block with plan caching off on this thread.
 
     The uncached path is the reference implementation; benchmarks and the
-    bitwise-equivalence tests use this to compare against it.
+    bitwise-equivalence tests use this to compare against it. Other
+    threads keep their own setting.
     """
 
     def __enter__(self) -> None:
-        self._previous = _caching_enabled
+        self._previous = plan_caching_enabled()
         disable_plan_cache()
 
     def __exit__(self, *exc) -> None:
@@ -92,40 +104,39 @@ class plan_cache_disabled:
 
 
 def enable_train_plans() -> None:
-    """Re-enable the training-path plan extensions (the default state)."""
-    global _train_plans_enabled
-    _train_plans_enabled = True
+    """Re-enable the training-path plan extensions on this thread (the
+    default state)."""
+    _scope.train = True
 
 
 def disable_train_plans() -> None:
-    """Disable the training-path plan extensions only.
+    """Disable the training-path plan extensions only, on this thread.
 
     The forward plan cache keeps working exactly as it did before the
     training-path extensions existed: every weight-version bump is a full
     miss/rebuild, backward state is recomputed per step and im2col runs
     unplanned. Benchmarks use this to measure what this layer buys.
     """
-    global _train_plans_enabled
-    _train_plans_enabled = False
+    _scope.train = False
 
 
 def train_plans_enabled() -> bool:
-    """Whether the training-path plan extensions are active.
+    """Whether the training-path plan extensions are active on this thread.
 
     Covers code-level plan revalidation across optimizer steps, cached
     backward operands (fake-quantized weights, exact-GEMM conversions)
     and the shape-keyed im2col plans. Implied off while plan caching as a
     whole is disabled.
     """
-    return _caching_enabled and _train_plans_enabled
+    return plan_caching_enabled() and getattr(_scope, "train", True)
 
 
 class train_plans_disabled:
     """Context manager running a block with only the training-path plan
-    extensions off (forward plan caching stays on)."""
+    extensions off on this thread (forward plan caching stays on)."""
 
     def __enter__(self) -> None:
-        self._previous = _train_plans_enabled
+        self._previous = getattr(_scope, "train", True)
         disable_train_plans()
 
     def __exit__(self, *exc) -> None:
@@ -247,24 +258,92 @@ class GemmPlan:
                 f"plan for reduce dim {self.k} applied to operand with {k} columns"
             )
         check_magnitude(a, self.xhi, self.multiplier_name, "a")
-        v = self.num_values
-        if v == 0:
+        if self.num_values == 0:
             return np.zeros((m, self.n), dtype=np.int64)
-        itemsize = self.dtype.itemsize
         with tr.span("approx.lut_gather", nbytes=a.nbytes):
             idx = np.add(a, self.xhi, dtype=np.intp).reshape(-1)
             # No ``out=``: in the default "raise" mode NumPy gathers into a
             # temporary and copies it into ``out``, doing the gather twice.
             gathered = np.take(self.lut_rows, idx, axis=0)
-        met.inc("approx.lut_gathered_values", v)
+        return self._combine(gathered.reshape(m, -1), gathered.size)
+
+    def execute_conv(
+        self, codes: np.ndarray, kernel: tuple[int, int], stride: int, padding: int
+    ) -> np.ndarray:
+        """The approximate convolution of NCHW codes as an ``(N·OH·OW, OC)`` GEMM.
+
+        The plan must be built from the weight codes in ``(kh, kw, c)``
+        row order (:func:`conv_plan_operand`). Instead of unfolding the
+        codes and gathering every unfolded code (up to ``kh·kw`` lookups
+        per activation), this gathers the LUT products of each padded
+        activation once, as an NHWC ``(N, Hp, Wp, C, V)`` array, and
+        unfolds the *products* with one ``as_strided`` window copy into
+        ``(N·OH·OW, KH·KW·C·V)`` rows. The padding border is
+        code 0, as in ``im2col``. Every partial sum is an exact integer, so
+        the result equals ``im2col`` + :meth:`execute` bit for bit.
+
+        Codes outside the multiplier's symmetric x-range raise
+        :class:`MultiplierError` before anything is gathered.
+        """
+        n, c, h, w = codes.shape
+        kh, kw = kernel
+        if kh * kw * c != self.k:
+            raise ShapeError(
+                f"plan for reduce dim {self.k} applied to a {kh}x{kw} conv over "
+                f"{c} channels"
+            )
+        check_magnitude(codes, self.xhi, self.multiplier_name, "a")
+        oh = conv_out_size(h, kh, stride, padding)
+        ow = conv_out_size(w, kw, stride, padding)
+        v = self.num_values
+        if v == 0:
+            return np.zeros((n * oh * ow, self.n), dtype=np.int64)
+        if (kh, kw) == (1, 1) and padding == 0:
+            # A strided 1x1 window reads only every stride-th position.
+            codes, stride = codes[:, :, ::stride, ::stride], 1
+        # Padded rows and columns that no window reads are never gathered.
+        hp, wp = (oh - 1) * stride + kh, (ow - 1) * stride + kw
+        hi, wi = max(0, min(h, hp - padding)), max(0, min(w, wp - padding))
+        with tr.span("approx.lut_gather", nbytes=codes.nbytes):
+            idx = np.full((n, hp, wp, c), self.xhi, dtype=np.intp)
+            np.add(
+                codes[:, :, :hi, :wi].transpose(0, 2, 3, 1),
+                self.xhi,
+                out=idx[:, padding : padding + hi, padding : padding + wi],
+            )
+            gathered = np.take(self.lut_rows, idx, axis=0)
+            sn, sh, sw, sc, sv = gathered.strides
+            windows = as_strided(
+                gathered,
+                shape=(n, oh, ow, kh, kw, c, v),
+                strides=(sn, sh * stride, sw * stride, sh, sw, sc, sv),
+                writeable=False,
+            )
+            cols = windows.reshape(n * oh * ow, self.k * v)
+        return self._combine(cols, gathered.size)
+
+    def _combine(self, cols: np.ndarray, gathered_elems: int) -> np.ndarray:
+        """One BLAS call of gathered ``(M, K·V)`` products against ``big_h``."""
+        m, kv = cols.shape
+        met.inc("approx.lut_gathered_values", self.num_values)
+        met.inc("approx.lut_gathered_elems", gathered_elems)
         with tr.span(
-            "approx.matmul_blas", nbytes=(m * k * v + k * v * self.n) * itemsize
+            "approx.matmul_blas", nbytes=(m * kv + kv * self.n) * self.dtype.itemsize
         ):
-            y = gathered.reshape(m, k * v) @ self.big_h
+            y = cols @ self.big_h
         return np.rint(y).astype(np.int64)
 
 
-def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
+def conv_plan_operand(wq: np.ndarray) -> np.ndarray:
+    """Conv weight codes ``(OC, C, KH, KW)`` as a conv plan's ``(KH·KW·C, OC)``
+    operand: rows in the ``(kh, kw, c)`` order in which
+    :meth:`GemmPlan.execute_conv` unfolds NHWC products. A view when
+    possible; pass it through ``np.ascontiguousarray`` to build a plan.
+    """
+    return wq.transpose(0, 2, 3, 1).reshape(wq.shape[0], -1).T
+
+
+def build_plan(b: np.ndarray, multiplier: str | Multiplier) -> GemmPlan:
     """Build the weight-stationary plan for operand ``b`` of ``a @ b``.
 
     The basis follows the multiplier's LUT. When the LUT is linear in the
@@ -276,8 +355,9 @@ def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
     an **indicator plan**: one bucketization pass over ``b`` finds the
     active magnitudes and scatters ``big_h[k·V + i, n] = sign(b)`` where
     ``|b|`` is the i-th of them, replacing the ``2·whi`` boolean scans of
-    the uncached path.
+    the uncached path. ``multiplier`` may be a registry name.
     """
+    multiplier = as_multiplier(multiplier)
     b = np.asarray(b)
     if b.ndim != 2:
         raise ShapeError(f"plan operand must be 2-D, got shape {b.shape}")
@@ -433,7 +513,7 @@ class PlanCache:
         ``plan_cache.revalidate`` instead of a miss. Either way
         the entry is re-keyed to the current version.
         """
-        if not _caching_enabled:
+        if not plan_caching_enabled():
             met.inc("plan_cache.bypass")
             return build()
         entry = self._entries.get(tag)
@@ -442,7 +522,7 @@ class PlanCache:
             return entry[2]
         if (
             revalidate is not None
-            and _train_plans_enabled
+            and getattr(_scope, "train", True)
             and entry is not None
             and entry[1] is multiplier
             and isinstance(key, tuple)

@@ -87,7 +87,23 @@ TABLE7_MULTIPLIERS = [
 
 def get_multiplier(name: str) -> Multiplier:
     """Instantiate (and cache) a multiplier by registry name."""
-    return _get_multiplier_cached(name.lower())
+    return as_multiplier(name)
+
+
+def as_multiplier(multiplier: str | Multiplier) -> Multiplier:
+    """Resolve a registry name or pass a :class:`Multiplier` through.
+
+    Anything else raises :class:`MultiplierError` instead of failing
+    later with an ``AttributeError`` deep in a GEMM.
+    """
+    if isinstance(multiplier, Multiplier):
+        return multiplier
+    if isinstance(multiplier, str):
+        return _get_multiplier_cached(multiplier.lower())
+    raise MultiplierError(
+        "expected a multiplier name or a Multiplier, got "
+        f"{type(multiplier).__name__} {multiplier!r}"
+    )
 
 
 @lru_cache(maxsize=None)

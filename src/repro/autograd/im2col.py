@@ -3,7 +3,11 @@
 These turn convolutions into GEMMs, matching the paper's formulation of
 convolutional layers as General Matrix Multiplications (section III-B). The
 same helpers are reused by the exact float convolution, the fake-quantized
-convolution and the approximate integer convolution.
+convolution and the reference path of the approximate integer convolution.
+A planned approximate convolution unfolds gathered LUT products instead
+(:meth:`repro.approx.plan.GemmPlan.execute_conv`) and calls :func:`im2col`
+only when the code columns themselves are read: by the gradient-estimation
+exact GEMM or by the backward pass.
 
 Both directions are shape-stationary: for a fixed ``(input_shape, kernel,
 stride, padding)`` the output geometry, the ``as_strided`` window layout

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro import config
 from repro.approx.multiplier import Multiplier
+from repro.approx.registry import as_multiplier
 from repro.errors import ConfigError, MultiplierError
 from repro.ge.analytic import (
     AnalyticModelError,
@@ -92,7 +93,7 @@ def _analytic_dispatch(
 
 
 def estimate_error_model(
-    multiplier: Multiplier,
+    multiplier: str | Multiplier,
     num_simulations: int = 50,
     slope_significance: float = 0.25,
     rng=None,
@@ -111,8 +112,10 @@ def estimate_error_model(
     distributions, e.g. from a quant observer's ``code_histogram``) only
     the analytic one. Shared shape kwargs (``reduce_dim``, ``act_bits``,
     ``weight_bits``, ``sigma_fraction``) parameterize both, so switching
-    engines never changes what is being modeled.
+    engines never changes what is being modeled. ``multiplier`` may be a
+    registry name.
     """
+    multiplier = as_multiplier(multiplier)
     resolved = str(config.resolve("error_model_method", call=method)).lower()
     if resolved not in _METHODS:
         raise ConfigError(

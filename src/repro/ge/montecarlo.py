@@ -58,6 +58,8 @@ class _ChunkSpec:
     this chunk's first draw; regenerating ``count`` draws from it yields
     exactly the arrays the parent would have produced, so only states cross
     the process boundary and no worker ever holds more than one draw.
+    ``use_plans`` is the parent thread's plan-cache scope: the scope is
+    thread-local, so worker threads must not read their own.
     """
 
     rng_state: dict | None
@@ -68,6 +70,7 @@ class _ChunkSpec:
     act_bits: int
     weight_bits: int
     sigma_fraction: float
+    use_plans: bool = True
 
 
 def _draw_pair(rng, spec: _ChunkSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +95,7 @@ def _simulate_chunk(
     if rng is None:
         rng = new_rng(0)
         set_rng_state(rng, spec.rng_state)
-    use_plans = plan_caching_enabled() and not multiplier.is_exact
+    use_plans = spec.use_plans and not multiplier.is_exact
     with tr.span("mc.chunk", draws=spec.count):
         for _ in range(spec.count):
             a, b = _draw_pair(rng, spec)
@@ -150,6 +153,7 @@ def profile_multiplier_error(
             act_bits=act_bits,
             weight_bits=weight_bits,
             sigma_fraction=sigma_fraction,
+            use_plans=plan_caching_enabled(),
         )
 
     with tr.span("ge.montecarlo_profile"):

@@ -15,6 +15,14 @@ The backward pass implements:
   where ``K`` is the derivative of the fitted error function evaluated at
   the *exact* GEMM outputs (Eq. 13).
 
+A planned dense convolution never runs the activation codes through
+``im2col`` for its forward GEMM:
+:meth:`~repro.approx.plan.GemmPlan.execute_conv` gathers each padded
+activation's LUT products once and unfolds the products. The codes are
+unfolded only when something reads the columns — the exact GEMM of
+gradient estimation, or the backward pass, which builds them lazily from
+the stored NCHW codes — so under ``no_grad`` no ``im2col`` runs.
+
 Weight-derived state is memoized in a
 :class:`~repro.approx.plan.LayerKernelState` held by the layer's
 :class:`~repro.approx.plan.PlanCache`: the forward GEMM plan, the
@@ -31,18 +39,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.approx.backend import float_matmul
+from repro.approx.backend import float_matmul, get_backend
 from repro.approx.gemm import approx_matmul, exact_int_matmul, exact_int_matmul_cached
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import (
     GemmPlan,
     LayerKernelState,
     build_plan,
+    conv_plan_operand,
     plan_caching_enabled,
     repair_plan,
     train_plans_enabled,
 )
 from repro.autograd.function import Function
+from repro.autograd.grad_mode import is_grad_enabled
 from repro.autograd.im2col import col2im, conv_out_size, im2col, sliding_windows
 from repro.errors import QuantizationError, ShapeError
 from repro.ge.error_model import PiecewiseLinearErrorModel
@@ -92,17 +102,18 @@ def _int_gemm(
     The result is bitwise identical with or without either.
     """
 
-    def _exact(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if exact_cache is not None:
-            return exact_int_matmul_cached(lhs, rhs, exact_cache)
-        return exact_int_matmul(lhs, rhs)
-
     if multiplier is None or multiplier.is_exact:
-        y = _exact(a, b)
+        y = _exact_gemm(a, b, exact_cache)
         return y, (y if need_exact else None)
     y = approx_matmul(a, b, multiplier, plan=plan)
-    y_exact = _exact(a, b) if need_exact else None
+    y_exact = _exact_gemm(a, b, exact_cache) if need_exact else None
     return y, y_exact
+
+
+def _exact_gemm(a: np.ndarray, b: np.ndarray, exact_cache: dict | None) -> np.ndarray:
+    if exact_cache is not None:
+        return exact_int_matmul_cached(a, b, exact_cache)
+    return exact_int_matmul(a, b)
 
 
 def _maybe_plan(b: np.ndarray, multiplier: Multiplier | None) -> GemmPlan | None:
@@ -116,6 +127,15 @@ def _maybe_plan(b: np.ndarray, multiplier: Multiplier | None) -> GemmPlan | None
     if multiplier is None or multiplier.is_exact or not plan_caching_enabled():
         return None
     return build_plan(b, multiplier)
+
+
+def _needs_exact(error_model: PiecewiseLinearErrorModel | None) -> bool:
+    """Whether gradient estimation needs the exact GEMM output.
+
+    Its only consumer is the backward pass, so under ``no_grad`` nothing
+    needs it.
+    """
+    return error_model is not None and not error_model.is_constant and is_grad_enabled()
 
 
 def _bwd_cached(bwd: dict | None, key: str, make):
@@ -208,7 +228,7 @@ class QuantLinearFunction(Function):
         wq = state.wq
         self.w_mask = state.w_mask
         self._bwd = state.bwd if use_train else None
-        need_exact = error_model is not None and not error_model.is_constant
+        need_exact = _needs_exact(error_model)
         y_int, y_exact = _int_gemm(
             xq,
             wq.T,
@@ -240,11 +260,13 @@ class QuantLinearFunction(Function):
 
 
 class QuantConv2dFunction(Function):
-    """Quantized / approximate convolution as an integer im2col GEMM.
+    """Quantized / approximate convolution as an integer GEMM.
 
-    Supports ``groups == 1`` (dense), the depthwise case (``groups ==
-    in_channels`` with one filter per channel) fully vectorised, and
-    arbitrary groups via a per-group loop.
+    Supports ``groups == 1`` (dense; planned, it gathers before unfolding
+    through :meth:`~repro.approx.plan.GemmPlan.execute_conv`, otherwise
+    ``im2col`` + GEMM), the depthwise case (``groups == in_channels`` with
+    one filter per channel) fully vectorised, and arbitrary groups via a
+    per-group loop.
     """
 
     def forward(
@@ -310,7 +332,7 @@ class QuantConv2dFunction(Function):
             return LayerKernelState(
                 wq,
                 w_mask,
-                _maybe_plan(np.ascontiguousarray(wq.reshape(oc, -1).T), multiplier),
+                _maybe_plan(np.ascontiguousarray(conv_plan_operand(wq)), multiplier),
             )
 
         def _build():
@@ -334,14 +356,12 @@ class QuantConv2dFunction(Function):
                         for g in range(groups)
                     )
                 else:
-                    # wq flattens to (OC, CKK); the plan operand is its
-                    # transpose, so swap the diff axes.
-                    nz_r, nz_c = np.nonzero(neq.reshape(oc, -1))
+                    # Diff in the plan's (kh, kw, c) row layout.
                     repaired = repair_plan(
                         old.plan,
-                        old.wq.reshape(oc, -1).T,
-                        wq.reshape(oc, -1).T,
-                        changed=(nz_c, nz_r),
+                        conv_plan_operand(old.wq),
+                        conv_plan_operand(wq),
+                        changed=np.nonzero(conv_plan_operand(neq)),
                     )
                 if repaired:
                     return LayerKernelState(wq, w_mask, old.plan), True
@@ -362,20 +382,26 @@ class QuantConv2dFunction(Function):
         self._bwd = state.bwd if use_train else None
         plan_state = state.plan
         self.wq = wq
-        need_exact = error_model is not None and not error_model.is_constant
+        need_exact = _needs_exact(error_model)
         rescale_col = np.float32(self.act_step) * self.w_step_col  # (OC,)
 
         if groups == 1:
-            cols, _ = im2col(xq, (kh, kw), stride, padding)
-            self.cols = cols
-            y_int, y_exact = _int_gemm(
-                cols,
-                wq.reshape(oc, -1).T,
-                multiplier,
-                need_exact,
-                plan=plan_state,
-                exact_cache=state.exact_ops if use_train else None,
-            )
+            # The im2col columns are built only for a reader: the reference
+            # GEMM, the GE exact GEMM, or (lazily, from xq) the backward.
+            self.xq, self.cols = xq, None
+            w2d = wq.reshape(oc, -1).T
+            exact_cache = state.exact_ops if use_train else None
+            if plan_state is not None and get_backend().use_plans:
+                y_int = plan_state.execute_conv(xq, (kh, kw), stride, padding)
+                y_exact = None
+                if need_exact:
+                    self.cols, _ = im2col(xq, (kh, kw), stride, padding)
+                    y_exact = _exact_gemm(self.cols, w2d, exact_cache)
+            else:
+                self.cols, _ = im2col(xq, (kh, kw), stride, padding)
+                y_int, y_exact = _int_gemm(
+                    self.cols, w2d, multiplier, need_exact, exact_cache=exact_cache
+                )
             self.scale = _gradient_scale(error_model, y_exact)
             out = y_int.astype(np.float32) * rescale_col[None, :]
             out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
@@ -444,7 +470,10 @@ class QuantConv2dFunction(Function):
         if groups == 1:
             g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
             g2 = g2 * self.scale
-            x_fq = self.cols.astype(np.float32) * sx
+            cols = self.cols
+            if cols is None:
+                cols, _ = im2col(self.xq, (kh, kw), stride, padding)
+            x_fq = cols.astype(np.float32) * sx
             w_fq = _bwd_cached(
                 self._bwd,
                 "w_fq2",

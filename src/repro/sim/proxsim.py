@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro.approx.multiplier import Multiplier
-from repro.approx.registry import get_multiplier
+from repro.approx.registry import as_multiplier
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.tensor import Tensor
 from repro.data.dataloader import iterate_batches
@@ -30,9 +30,7 @@ from repro.quant.convert import quant_layers
 
 def resolve_multiplier(multiplier: Multiplier | str | None) -> Multiplier | None:
     """Accept a Multiplier instance, a registry name, or None."""
-    if multiplier is None or isinstance(multiplier, Multiplier):
-        return multiplier
-    return get_multiplier(multiplier)
+    return None if multiplier is None else as_multiplier(multiplier)
 
 
 def attach_multiplier(

@@ -7,7 +7,10 @@ from repro.approx import (
     PAPER_MRE,
     ExactMultiplier,
     Multiplier,
+    approx_matmul,
+    as_multiplier,
     available_multipliers,
+    build_plan,
     error_bias_ratio,
     exact_lut,
     get_multiplier,
@@ -17,7 +20,8 @@ from repro.approx import (
     network_energy,
     paper_mre,
 )
-from repro.errors import MultiplierError
+from repro.errors import MultiplierError, ReproError
+from repro.ge import estimate_error_model
 
 
 class TestMRE:
@@ -95,3 +99,42 @@ class TestRegistry:
         for name in available_multipliers():
             m = get_multiplier(name)
             assert m.lut.shape == (256, 16)
+
+
+class TestAsMultiplier:
+    """One resolver for "a registry name or a Multiplier" arguments.
+
+    Each former escape raised a bare ``AttributeError`` on a non-str,
+    non-Multiplier argument; now it is a typed :class:`ReproError`.
+    """
+
+    def test_names_and_instances_resolve(self):
+        mult = get_multiplier("truncated5")
+        assert as_multiplier("Truncated5") is mult
+        assert as_multiplier(mult) is mult
+
+    def test_approx_matmul_accepts_a_name(self, rng):
+        a = rng.integers(-127, 128, size=(6, 9), dtype=np.int32)
+        b = rng.integers(-7, 8, size=(9, 4), dtype=np.int32)
+        np.testing.assert_array_equal(
+            approx_matmul(a, b, "truncated5"),
+            approx_matmul(a, b, get_multiplier("truncated5")),
+        )
+
+    def test_get_multiplier_rejects_a_non_name(self):
+        with pytest.raises(MultiplierError):
+            get_multiplier(5)
+
+    def test_approx_matmul_rejects_a_non_multiplier(self, rng):
+        a = np.zeros((2, 3), dtype=np.int32)
+        b = np.zeros((3, 2), dtype=np.int32)
+        with pytest.raises(ReproError):
+            approx_matmul(a, b, 5)
+
+    def test_build_plan_rejects_a_non_multiplier(self):
+        with pytest.raises(ReproError):
+            build_plan(np.zeros((3, 2), dtype=np.int32), 5)
+
+    def test_estimate_error_model_rejects_a_non_multiplier(self):
+        with pytest.raises(ReproError):
+            estimate_error_model(5)

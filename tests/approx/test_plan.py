@@ -7,6 +7,7 @@ argument is that reordering exact integer sums cannot change them.
 
 import copy
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.autograd import Tensor
 from repro.autograd.grad_mode import no_grad
 from repro.errors import MultiplierError, ShapeError
 from repro.models import resnet20
-from repro.quant import calibrate_model, quant_layers, quantize_model
+from repro.quant import QuantConv2d, calibrate_model, quant_layers, quantize_model
 from repro.quant.qfunction import _maybe_plan
 from repro.sim import attach_multiplier
 
@@ -266,6 +267,50 @@ class TestPlanCache:
         assert isinstance(plan, GemmPlan)
 
 
+class TestThreadLocalScopes:
+    """Plan scopes are per thread: a reference block on one thread must not
+    move another thread's planned forward onto the uncached path."""
+
+    @pytest.mark.parallel
+    def test_disabled_scope_does_not_leak_into_other_threads(self, rng, profiled):
+        conv = QuantConv2d(3, 4, 3, padding=1, rng=rng)
+        conv.act_step, conv.weight_step = 1 / 16, 1 / 8
+        conv.set_multiplier(get_multiplier("truncated5"))
+        conv.eval()
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32))
+        with no_grad():
+            expected = conv(x).data  # builds the plan on this thread
+        a_inside, b_done = threading.Event(), threading.Event()
+        seen: dict = {}
+
+        def thread_a():
+            with plan_cache_disabled():
+                seen["a"] = plan_caching_enabled()
+                a_inside.set()
+                b_done.wait(timeout=30)
+
+        def thread_b():
+            a_inside.wait(timeout=30)
+            try:
+                seen["b"] = plan_caching_enabled()
+                with no_grad():
+                    seen["out"] = conv(x).data
+            finally:
+                b_done.set()
+
+        with profiled() as rows:
+            threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        assert seen["a"] is False and seen["b"] is True
+        assert plan_caching_enabled()
+        assert rows["plan_cache.hit"]["calls"] == 1
+        assert "plan_cache.bypass" not in rows
+        np.testing.assert_array_equal(seen["out"], expected)
+
+
 class TestRepairPlan:
     """In-place plan repair after sparse weight-code drift.
 
@@ -489,9 +534,10 @@ class TestBitplanePlans:
 class TestGatherVolume:
     """LUT gather volume per planned GEMM on a warm ResNet20 forward.
 
-    Counts gathered LUT columns, not time, so the gate holds on any
-    hardware: a bit-plane plan gathers ``w_bits - 1`` columns per
-    activation, an indicator plan one per active weight magnitude.
+    Counts gathered LUT columns and elements, not time, so the gate holds
+    on any hardware: a bit-plane plan gathers ``w_bits - 1`` columns per
+    activation, an indicator plan one per active weight magnitude, and a
+    planned conv gathers each padded activation once, not ``kh·kw`` times.
     """
 
     @pytest.fixture(scope="class")
@@ -501,11 +547,27 @@ class TestGatherVolume:
         calibrate_model(model, [rng.normal(size=(8, 3, 16, 16)).astype(np.float32)])
         return model.eval()
 
-    def _gathers_per_gemm(self, model, name, profiled):
+    def _gathers_per_gemm(self, model, name, profiled, monkeypatch):
         attach_multiplier(model, get_multiplier(name))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 16, 16)).astype(np.float32))
+        # Each padded activation gathered once: Σ N·C·Hp·Wp·V over the
+        # convs, plus M·K·V for the linear head.
+        bound = []
+        execute_conv, execute = GemmPlan.execute_conv, GemmPlan.execute
+
+        def conv_bound(plan, codes, kernel, stride, padding):
+            n, c, h, w = codes.shape
+            bound.append(n * c * (h + 2 * padding) * (w + 2 * padding) * plan.num_values)
+            return execute_conv(plan, codes, kernel, stride, padding)
+
+        def gemm_bound(plan, a):
+            bound.append(a.size * plan.num_values)
+            return execute(plan, a)
+
         with no_grad():
             model(x)  # builds every plan
+            monkeypatch.setattr(GemmPlan, "execute_conv", conv_bound)
+            monkeypatch.setattr(GemmPlan, "execute", gemm_bound)
             with profiled() as rows:
                 model(x)
         assert rows["plan_cache.hit"]["calls"] == len(list(quant_layers(model)))
@@ -514,15 +576,26 @@ class TestGatherVolume:
             for entry in layer._plan_cache._entries.values()
         ]
         ratio = rows["approx.lut_gathered_values"]["calls"] / rows["approx.lut_gather"]["calls"]
+        assert len(bound) == len(plans)
+        assert rows["approx.lut_gathered_elems"]["calls"] <= sum(bound)
         return ratio, plans
 
-    def test_truncated_gathers_at_most_the_bit_planes(self, model, profiled):
-        ratio, plans = self._gathers_per_gemm(model, "truncated5", profiled)
+    def test_no_im2col_under_no_grad(self, model, profiled):
+        attach_multiplier(model, get_multiplier("truncated5"))
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 16, 16)).astype(np.float32))
+        with no_grad():
+            model(x)
+            with profiled() as rows:
+                model(x)
+        assert "autograd.im2col" not in rows
+
+    def test_truncated_gathers_at_most_the_bit_planes(self, model, profiled, monkeypatch):
+        ratio, plans = self._gathers_per_gemm(model, "truncated5", profiled, monkeypatch)
         assert ratio <= get_multiplier("truncated5").w_bits - 1
         assert all(plan.bitplane for plan in plans)
 
-    def test_evoapprox_gathers_its_active_values(self, model, profiled):
-        ratio, plans = self._gathers_per_gemm(model, "evoapprox228", profiled)
+    def test_evoapprox_gathers_its_active_values(self, model, profiled, monkeypatch):
+        ratio, plans = self._gathers_per_gemm(model, "evoapprox228", profiled, monkeypatch)
         assert not any(plan.bitplane for plan in plans)
         # a weighted mean of the plans' active-value counts (row-block
         # threading, when it fires, executes a plan once per block)

@@ -9,16 +9,19 @@ caching disabled entirely must produce bitwise-identical weights and
 logits at every step.
 """
 
+import copy
 from contextlib import nullcontext
 
 import numpy as np
 
 from repro.approx import (
+    build_plan,
     get_multiplier,
     plan_cache_disabled,
     train_plans_disabled,
     train_plans_enabled,
 )
+from repro.approx.plan import conv_plan_operand
 from repro.autograd import Tensor
 from repro.autograd.im2col import clear_col_plans
 from repro.ge import PiecewiseLinearErrorModel
@@ -200,6 +203,45 @@ class TestRevalidation:
         layer._plan_cache.clear()
         with plan_cache_disabled():
             np.testing.assert_array_equal(repaired_out, layer(Tensor(x)).data)
+
+    def test_conv_code_flips_repair_in_the_plan_layout(self, rng, profiled):
+        # An SGD step flips conv weight codes: the plan is repaired in its
+        # (kh, kw, c) row layout, and forward, both gradients and the GE
+        # scale stay bitwise equal to the uncached reference.
+        layer = QuantConv2d(3, 5, 3, padding=1, rng=np.random.default_rng(3))
+        layer.act_step, layer.weight_step = 1 / 16, 1 / 8
+        layer.weight.data = np.clip(layer.weight.data, -0.8, 0.8)
+        layer.set_multiplier(MULT, GE_MODEL)
+        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+        g = rng.normal(size=(2, 5, 6, 6)).astype(np.float32)
+        opt = SGD(layer.parameters(), lr=0.05)
+        with profiled() as rows:
+            layer(Tensor(x)).backward(g)
+            codes_before = layer._plan_cache._entries["conv"][2].wq.copy()
+            opt.step()
+            opt.zero_grad()
+            xt = Tensor(x, requires_grad=True)
+            out = layer(xt)
+            out.backward(g)
+        state = layer._plan_cache._entries["conv"][2]
+        assert (state.wq != codes_before).any()
+        assert rows["plan_cache.build"]["calls"] == 1
+        assert rows["plan_cache.repair"]["calls"] == 1
+        assert state.plan.bitplane
+        fresh = build_plan(np.ascontiguousarray(conv_plan_operand(state.wq)), MULT)
+        np.testing.assert_array_equal(state.plan.big_h, fresh.big_h)
+
+        reference = copy.deepcopy(layer)  # a clone starts with an empty plan cache
+        reference.weight.zero_grad()
+        with plan_cache_disabled():
+            xr = Tensor(x, requires_grad=True)
+            ref_out = reference(xr)
+            ref_out.backward(g)
+        np.testing.assert_array_equal(out.data, ref_out.data)
+        np.testing.assert_array_equal(xt.grad, xr.grad)
+        np.testing.assert_array_equal(layer.weight.grad, reference.weight.grad)
+        assert np.ndim(out.creator.scale) == 2  # GE ran its exact GEMM
+        np.testing.assert_array_equal(out.creator.scale, ref_out.creator.scale)
 
     def test_train_plans_disabled_restores_prior_miss_behaviour(self, rng, profiled):
         xs, gs = _batches(rng, 3, (6, 12), (6, 5))
