@@ -93,7 +93,7 @@ def main() -> None:
             quant_model, _ = quantization_stage(model, data, train_config=ft, temperature=1.0)
 
             # Fit two error models on a two-process pool: the worker spans
-            # (mc.chunk, approx.matmul, ...) travel back with the results
+            # (ge.analytic_model, ge.analytic, ...) travel back with the results
             # and appear in the exported trace under their worker pids,
             # parented onto this fit_error_models span.
             with tr.span("fit_error_models"):

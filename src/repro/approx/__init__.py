@@ -1,4 +1,9 @@
-"""Approximate multipliers, approximate GEMM and energy accounting."""
+"""Approximate multipliers, approximate GEMM and energy accounting.
+
+Approximate GEMMs run a weight-stationary plan whenever the caller built
+one; :class:`plan_cache_disabled` is the one switch onto the uncached
+reference path, and it is scoped to the calling thread.
+"""
 
 from repro.approx.analysis import (
     MultiplierSummary,
@@ -17,17 +22,7 @@ from repro.approx.evoapprox import (
     EvoApproxSpec,
     synthesize_evoapprox_lut,
 )
-from repro.approx.backend import (
-    GemmBackend,
-    available_backends,
-    default_backend,
-    gemm_backend,
-    get_backend,
-    int8_scaled_matmul,
-    quantize_per_axis,
-    set_default_backend,
-    tiered_exact_int_matmul,
-)
+from repro.approx.backend import default_backend, tiered_exact_int_matmul
 from repro.approx.gemm import (
     approx_matmul,
     approx_matmul_with_exact,
@@ -47,15 +42,9 @@ from repro.approx.plan import (
     PlanCache,
     build_plan,
     cache_stats,
-    disable_plan_cache,
-    disable_train_plans,
-    enable_plan_cache,
-    enable_train_plans,
     plan_cache_disabled,
     plan_caching_enabled,
     repair_plan,
-    train_plans_disabled,
-    train_plans_enabled,
 )
 from repro.approx.registry import (
     PAPER_MRE,
@@ -92,28 +81,15 @@ __all__ = [
     "exact_int_matmul",
     "exact_int_matmul_cached",
     "tiered_exact_int_matmul",
-    "GemmBackend",
-    "available_backends",
     "default_backend",
-    "get_backend",
-    "set_default_backend",
-    "gemm_backend",
-    "int8_scaled_matmul",
-    "quantize_per_axis",
     "GemmPlan",
     "LayerKernelState",
     "PlanCache",
     "build_plan",
     "cache_stats",
-    "enable_plan_cache",
-    "disable_plan_cache",
     "plan_cache_disabled",
     "plan_caching_enabled",
-    "enable_train_plans",
-    "disable_train_plans",
     "repair_plan",
-    "train_plans_disabled",
-    "train_plans_enabled",
     "mean_relative_error",
     "mean_error",
     "max_absolute_error",

@@ -1,49 +1,23 @@
-"""Pluggable GEMM execution backends.
+"""The exact integer GEMM reference and the float GEMM seam.
 
-Every integer GEMM in the repo — the approximate LUT engine, the exact
-integer reference it is compared against, and the float GEMMs of the
-autograd layer — funnels through one small dispatch seam instead of
-hard-coding a strategy at each call site. Three backends ship:
+:func:`tiered_exact_int_matmul` is the exact integer GEMM every other
+path is compared against: the approximate engine's plans, gradient
+estimation's exact GEMM and the tests' references.
+:func:`float_matmul` is the float GEMM of the autograd layer and of the
+quantized layers' backward passes; callers reach it through this
+module's attribute, so instrumentation can rebind it in one place.
 
-- ``exact-blas`` — the tiered float32/float64/int64 reference path
-  (:func:`tiered_exact_int_matmul`). For *approximate* GEMMs it forces
-  the uncached LUT-decomposition scans, ignoring any prepared plan;
-  selecting it is a way to run the reference path end to end.
-- ``plan-lut`` — the default: approximate GEMMs use a weight-stationary
-  :class:`~repro.approx.plan.GemmPlan` when the caller prepared one,
-  exact GEMMs take the same tiered path.
-- ``int8-accumulate`` — an ``igemm``-style integer-accumulation backend:
-  when both operands fit int8 and the worst-case sum fits int32, the
-  exact GEMM runs as an int32-accumulated integer matmul (exact
-  arithmetic, hence bitwise identical); anything it cannot handle falls
-  back to ``exact-blas``. :func:`int8_scaled_matmul` exposes the
-  per-axis-scaled float variant as an explicit opt-in — it is lossy, so
-  no backend ever applies it implicitly.
-
-The selection contract is that backends may only change *how fast* a
-result is produced, never the result: every backend either computes the
-bitwise-identical answer or declines (returns ``None``) and the caller
-falls back to the reference. This is asserted in
-``tests/approx/test_backend.py``.
-
-Selection follows the documented :mod:`repro.config` precedence, most
-specific wins:
-
-1. per call — ``approx_matmul(..., backend="exact-blas")``;
-2. scoped — ``with gemm_backend("int8-accumulate"): ...``;
-3. process-wide — ``set_default_backend(name)``, which installs the
-   ``gemm_backend`` knob's :func:`repro.config.configure` tier;
-4. CLI — the ``--gemm-backend`` flag (``repro.cli`` installs it on the
-   knob's CLI tier);
-5. environment — ``REPRO_GEMM_BACKEND``;
-6. otherwise ``plan-lut``.
+There is one switch onto the reference path for approximate GEMMs:
+:class:`repro.approx.plan.plan_cache_disabled`, scoped to the calling
+thread. :func:`default_backend` reports which path is active.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from repro import config
 from repro.errors import MultiplierError
 
 # float32 partial sums of integer products are exact below 2^24 (the
@@ -54,216 +28,63 @@ _EXACT_FLOAT64_BOUND = 2.0**52
 # int64 accumulation wraps silently past 2^63; reject instead.
 _EXACT_INT64_BOUND = 2.0**63
 
-_INT8_MAX = 127
-_INT32_BOUND = 2.0**31
 
-
-def tiered_exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def tiered_exact_int_matmul(
+    a: np.ndarray, b: np.ndarray, cache: dict | None = None
+) -> np.ndarray:
     """The exact integer GEMM reference: tiered f32/f64/int64 accumulation.
 
     Picks the cheapest dtype whose accumulation is provably exact for the
     operands' worst-case partial sum ``max|a|·max|b|·K``; raises
     :class:`~repro.errors.MultiplierError` when even int64 could wrap
     (``≥ 2^63``) rather than returning silently-overflowed garbage.
+
+    ``cache`` optionally memoizes the magnitude of ``b`` and its dtype
+    conversions across calls that share the same ``b`` (a layer's frozen
+    weights). The tier decision and the arithmetic are the same either
+    way, so the result is bitwise identical with or without it.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.size and b.size:
-        max_sum = float(np.abs(a).max()) * float(np.abs(b).max()) * a.shape[1]
-        if max_sum < _EXACT_FLOAT32_BOUND:
-            return np.rint(a.astype(np.float32) @ b.astype(np.float32)).astype(np.int64)
-        if max_sum < _EXACT_FLOAT64_BOUND:
-            return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        if max_sum >= _EXACT_INT64_BOUND:
-            raise MultiplierError(
-                "exact integer GEMM would overflow the int64 accumulator: "
-                f"worst-case partial sum {max_sum:.3g} >= 2^63 for shapes "
-                f"{a.shape} x {b.shape}; rescale or requantize the operands"
-            )
-    return a.astype(np.int64) @ b.astype(np.int64)
-
-
-class GemmBackend:
-    """One GEMM execution strategy; subclasses override what they accelerate.
-
-    ``exact_int`` may return ``None`` to decline an operand combination —
-    the caller then falls back to :func:`tiered_exact_int_matmul`, so an
-    unsupported case is always bitwise-exact, never an error.
-    ``use_plans`` decides whether approximate GEMMs may consume a
-    prepared :class:`~repro.approx.plan.GemmPlan`.
-    """
-
-    name = "base"
-    use_plans = True
-
-    def exact_int(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        return None
-
-    def float_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b
-
-
-class ExactBlasBackend(GemmBackend):
-    """The tiered reference path; approximate GEMMs run unplanned scans."""
-
-    name = "exact-blas"
-    use_plans = False
-
-    def exact_int(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return tiered_exact_int_matmul(a, b)
-
-
-class PlanLutBackend(GemmBackend):
-    """The default: plan-accelerated approximate GEMMs, tiered exact path."""
-
-    name = "plan-lut"
-    use_plans = True
-
-    def exact_int(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return tiered_exact_int_matmul(a, b)
-
-
-class Int8AccumulateBackend(GemmBackend):
-    """Integer accumulation for int8-ranged operands, else exact fallback.
-
-    Mirrors the ``igemm`` kernels of GPU int8 stacks: operands within
-    ``[-127, 127]`` whose worst-case sum fits int32 multiply-accumulate
-    in int32 — exact integer arithmetic, so the result is bitwise
-    identical to the reference. Operands outside that envelope return
-    ``None`` and the caller falls back to ``exact-blas``. On a
-    numpy/CPU substrate the int32 matmul has no BLAS kernel, so this
-    backend is for experimentation and correctness work, not speed.
-    """
-
-    name = "int8-accumulate"
-    use_plans = True
-
-    def exact_int(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        if not (a.size and b.size):
-            return None
-        amax = float(np.abs(a).max())
-        bmax = float(np.abs(b).max())
-        if amax > _INT8_MAX or bmax > _INT8_MAX:
-            return None
-        if amax * bmax * a.shape[1] >= _INT32_BOUND:
-            return None
-        return (a.astype(np.int32) @ b.astype(np.int32)).astype(np.int64)
-
-
-def quantize_per_axis(
-    x: np.ndarray, axis: int, bits: int = 8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-axis quantization to ``bits``-bit signed codes.
-
-    Returns ``(codes, scales)`` with ``scales`` shaped to broadcast
-    against ``x`` (one scale per index along ``axis``); all-zero slices
-    get scale 1.0 so dequantization is always defined.
-    """
-    x = np.asarray(x, dtype=np.float32)
-    hi = 2 ** (bits - 1) - 1
-    reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
-    absmax = np.abs(x).max(axis=reduce_axes, keepdims=True)
-    scales = np.where(absmax > 0, absmax / hi, 1.0).astype(np.float32)
-    codes = np.clip(np.rint(x / scales), -hi, hi).astype(np.int8)
-    return codes, scales
-
-
-def int8_scaled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Approximate float GEMM via per-row/per-column int8 quantization.
-
-    ``a`` is quantized per row, ``b`` per column (the axes whose scale
-    factors out of the dot product exactly), the integer product
-    accumulates in int32 and the result is rescaled. This is the lossy
-    per-axis-scale path of the ``int8-accumulate`` backend, exposed as
-    an explicit function precisely because it is *not* bitwise-exact —
-    no dispatch path applies it implicitly.
-    """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if not (a.size and b.size):
+        return a.astype(np.int64) @ b.astype(np.int64)
+    if cache is None:
+        cache = {}
+    bmax = cache.get("absmax")
+    if bmax is None:
+        bmax = cache["absmax"] = float(np.abs(b).max())
+    max_sum = float(np.abs(a).max()) * bmax * a.shape[1]
+    if max_sum < _EXACT_FLOAT32_BOUND:
+        dtype = np.float32
+    elif max_sum < _EXACT_FLOAT64_BOUND:
+        dtype = np.float64
+    elif max_sum < _EXACT_INT64_BOUND:
+        dtype = np.int64
+    else:
         raise MultiplierError(
-            f"int8_scaled_matmul expects compatible 2-D operands, got "
-            f"{a.shape} x {b.shape}"
+            "exact integer GEMM would overflow the int64 accumulator: "
+            f"worst-case partial sum {max_sum:.3g} >= 2^63 for shapes "
+            f"{a.shape} x {b.shape}; rescale or requantize the operands"
         )
-    if _INT8_MAX * _INT8_MAX * a.shape[1] >= _INT32_BOUND:
-        raise MultiplierError(
-            f"int8_scaled_matmul reduce dim {a.shape[1]} could overflow the "
-            "int32 accumulator"
-        )
-    aq, sa = quantize_per_axis(a, axis=0)  # (M, K), scales (M, 1)
-    bq, sb = quantize_per_axis(b, axis=1)  # (K, N), scales (1, N)
-    y = aq.astype(np.int32) @ bq.astype(np.int32)
-    return y.astype(np.float32) * (sa * sb)
-
-
-_BACKENDS: dict[str, GemmBackend] = {
-    backend.name: backend
-    for backend in (ExactBlasBackend(), PlanLutBackend(), Int8AccumulateBackend())
-}
-
-_DEFAULT_NAME = "plan-lut"
-
-
-def available_backends() -> list[str]:
-    """Names of the registered GEMM backends."""
-    return sorted(_BACKENDS)
-
-
-def get_backend(backend: str | GemmBackend | None = None) -> GemmBackend:
-    """Resolve a backend argument: instance, registered name, or the default."""
-    if backend is None:
-        return default_backend()
-    if isinstance(backend, GemmBackend):
-        return backend
-    try:
-        return _BACKENDS[backend]
-    except KeyError:
-        raise MultiplierError(
-            f"unknown GEMM backend {backend!r}; available: "
-            f"{', '.join(available_backends())}"
-        ) from None
-
-
-def default_backend() -> GemmBackend:
-    """The ambient backend under the :mod:`repro.config` precedence.
-
-    Resolves the ``gemm_backend`` knob — :func:`set_default_backend` tier,
-    then CLI flag, then ``REPRO_GEMM_BACKEND`` — falling back to
-    ``plan-lut``.
-    """
-    value = config.resolve("gemm_backend")
-    if value is None:
-        return _BACKENDS[_DEFAULT_NAME]
-    return get_backend(value)
-
-
-def set_default_backend(backend: str | GemmBackend | None) -> str | None:
-    """Install the process-wide backend; returns the previous installed name.
-
-    ``None`` clears the override so resolution falls back to the CLI
-    flag / environment / default tiers on next use.
-    """
-    resolved = None if backend is None else get_backend(backend)
-    previous = config.configure(gemm_backend=resolved)["gemm_backend"]
-    if previous is None:
-        return None
-    return get_backend(previous).name
-
-
-class gemm_backend:
-    """Context manager scoping the process-wide backend to a block."""
-
-    def __init__(self, backend: str | GemmBackend):
-        self._backend = backend
-
-    def __enter__(self) -> GemmBackend:
-        self._previous = set_default_backend(self._backend)
-        return default_backend()
-
-    def __exit__(self, *exc) -> None:
-        set_default_backend(self._previous)
+    b_conv = cache.get(dtype)
+    if b_conv is None:
+        b_conv = cache[dtype] = b.astype(dtype)
+    y = a.astype(dtype) @ b_conv
+    return y if dtype is np.int64 else np.rint(y).astype(np.int64)
 
 
 def float_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float GEMM through the active backend (all backends keep it exact)."""
-    return default_backend().float_matmul(a, b)
+    """The float GEMM ``a @ b``."""
+    return a @ b
+
+
+def default_backend() -> SimpleNamespace:
+    """The GEMM path active on this thread, as an object with a ``name``.
+
+    ``"exact-blas"`` inside :class:`~repro.approx.plan.plan_cache_disabled`
+    (approximate GEMMs run the uncached reference), ``"plan-lut"``
+    otherwise. Run provenance records it.
+    """
+    from repro.approx.plan import plan_caching_enabled
+
+    return SimpleNamespace(name="plan-lut" if plan_caching_enabled() else "exact-blas")

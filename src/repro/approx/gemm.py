@@ -22,51 +22,37 @@ LUT gather plus one BLAS call, bitwise identical to the uncached path.
 For multipliers whose LUT is linear in the weight bits (the truncated
 family) the plan gathers ``w_bits - 1`` bit-plane columns instead of one
 column per active value (``docs/PERFORMANCE.md``).
+
+A GEMM takes a plan if and only if its caller built one, and callers
+build plans only while plan caching is on, so
+:class:`~repro.approx.plan.plan_cache_disabled` is the one switch onto
+the reference path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.approx.backend import (
-    GemmBackend,
-    get_backend,
-    tiered_exact_int_matmul,
-)
+from repro.approx.backend import _EXACT_FLOAT32_BOUND, tiered_exact_int_matmul
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import GemmPlan, check_magnitude
 from repro.approx.registry import as_multiplier
 from repro.errors import MultiplierError, ShapeError
 from repro.obs import metrics as met
 from repro.obs import trace as tr
-from repro.parallel import ParallelConfig, amortized_workers, map_workers
-
-# Row-block size of the threaded GEMM path. Each output row depends only on
-# the matching row of ``a``, so row blocks evaluate independently and the
-# chunked result is bitwise identical to the single-shot one. Blocks much
-# smaller than this are dominated by dispatch overhead.
-ROW_BLOCK = 256
 
 
-def exact_int_matmul(
-    a: np.ndarray, b: np.ndarray, backend: str | GemmBackend | None = None
-) -> np.ndarray:
-    """Exact integer GEMM through the active backend.
+def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer GEMM: :func:`~repro.approx.backend.tiered_exact_int_matmul`.
 
-    The reference strategy is tiered float32/float64 BLAS — exact for the
-    bounded operands produced by the quantizer (docs/PERFORMANCE.md lists
-    the tier bounds) — with int64 accumulation above the float64 tier. A
-    backend may substitute its own exact kernel (e.g. int8-accumulate)
-    or decline, in which case the tiered reference runs; the result is
-    bitwise identical either way.
+    Tiered float32/float64 BLAS — exact for the bounded operands produced
+    by the quantizer (docs/PERFORMANCE.md lists the tier bounds) — with
+    int64 accumulation above the float64 tier.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     with tr.span("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
-        y = get_backend(backend).exact_int(a, b)
-        if y is None:
-            y = tiered_exact_int_matmul(a, b)
-        return y
+        return tiered_exact_int_matmul(a, b)
 
 
 def exact_int_matmul_cached(a: np.ndarray, b: np.ndarray, cache: dict) -> np.ndarray:
@@ -75,48 +61,21 @@ def exact_int_matmul_cached(a: np.ndarray, b: np.ndarray, cache: dict) -> np.nda
     Gradient estimation runs an exact GEMM alongside every approximate one
     with the *same* weight operand each batch; ``cache`` (owned by the
     layer's :class:`~repro.approx.plan.LayerKernelState`) memoizes the
-    dtype conversion and magnitude of ``b`` across batches. The tier
-    decision and arithmetic are identical to the tiered reference, so the
-    result is bitwise identical — only the ``astype`` of ``b`` is reused.
+    dtype conversion and magnitude of ``b`` across batches. Same tiered
+    implementation, so the result is bitwise identical.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     with tr.span("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
-        if not (a.size and b.size):
-            return a.astype(np.int64) @ b.astype(np.int64)
-        bmax = cache.get("absmax")
-        if bmax is None:
-            bmax = cache["absmax"] = float(np.abs(b).max())
-        max_sum = float(np.abs(a).max()) * bmax * a.shape[1]
-        if max_sum < 2.0**23:
-            b32 = cache.get("f4")
-            if b32 is None:
-                b32 = cache["f4"] = b.astype(np.float32)
-            return np.rint(a.astype(np.float32) @ b32).astype(np.int64)
-        if max_sum < 2.0**52:
-            b64 = cache.get("f8")
-            if b64 is None:
-                b64 = cache["f8"] = b.astype(np.float64)
-            return np.rint(a.astype(np.float64) @ b64).astype(np.int64)
-        if max_sum >= 2.0**63:
-            raise MultiplierError(
-                "exact integer GEMM would overflow the int64 accumulator: "
-                f"worst-case partial sum {max_sum:.3g} >= 2^63 for shapes "
-                f"{a.shape} x {b.shape}; rescale or requantize the operands"
-            )
-        b_i8 = cache.get("i8")
-        if b_i8 is None:
-            b_i8 = cache["i8"] = b.astype(np.int64)
-        return a.astype(np.int64) @ b_i8
+        return tiered_exact_int_matmul(a, b, cache)
 
 
 def approx_matmul(
     a: np.ndarray,
     b: np.ndarray,
     multiplier: str | Multiplier,
-    workers: int | None = None,
+    *,
     plan: GemmPlan | None = None,
-    backend: str | GemmBackend | None = None,
 ) -> np.ndarray:
     """Approximate integer GEMM ``a @ b`` using ``multiplier`` elementwise.
 
@@ -131,25 +90,13 @@ def approx_matmul(
     multiplier:
         A :class:`~repro.approx.multiplier.Multiplier` or a registry name
         (:func:`repro.approx.registry.as_multiplier`).
-    workers:
-        Evaluate independent row blocks of ``a`` on this many threads when
-        M spans several blocks and the machine has more than one usable
-        CPU (``docs/PERFORMANCE.md``); ``None`` uses the process-wide
-        default (the CLI's ``--workers``). The result is bitwise identical
-        at any worker count.
     plan:
         A weight-stationary :class:`~repro.approx.plan.GemmPlan` built
         from this exact ``b`` and ``multiplier``
         (:func:`repro.approx.plan.build_plan`). Skips every
         weight-dependent scan and gathers every LUT product in one
         ``np.take``; the plan checks the range of ``a`` itself. The result
-        is bitwise identical to the plan-less call.
-    backend:
-        GEMM backend name or instance
-        (:mod:`repro.approx.backend`); ``None`` uses the process-wide
-        default. Backends whose ``use_plans`` is False (``exact-blas``)
-        ignore ``plan`` and run the uncached reference scans — every
-        backend choice is bitwise identical.
+        is bitwise identical to the plan-less call, which is the reference.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -158,15 +105,12 @@ def approx_matmul(
     if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise MultiplierError("approx_matmul operates on integer codes")
     multiplier = as_multiplier(multiplier)
-    resolved = get_backend(backend)
     if multiplier.is_exact:
-        return exact_int_matmul(a, b, backend=resolved)
-    if not resolved.use_plans:
-        plan = None
+        return exact_int_matmul(a, b)
 
-    xhi = 2 ** (multiplier.x_bits - 1) - 1
-    whi = 2 ** (multiplier.w_bits - 1) - 1
     if plan is None:
+        xhi = 2 ** (multiplier.x_bits - 1) - 1
+        whi = 2 ** (multiplier.w_bits - 1) - 1
         check_magnitude(a, xhi, multiplier.name, "a")
         check_magnitude(b, whi, multiplier.name, "b")
     elif plan.k != a.shape[1] or plan.n != b.shape[1]:
@@ -182,47 +126,24 @@ def approx_matmul(
         n=int(b.shape[1]),
         planned=plan is not None,
     ):
-        num_workers = amortized_workers(workers, tasks=a.shape[0] // ROW_BLOCK)
-        if num_workers > 1 and a.shape[0] >= 2 * ROW_BLOCK:
-            blocks = min(num_workers, -(-a.shape[0] // ROW_BLOCK))
-            bounds = np.linspace(0, a.shape[0], blocks + 1, dtype=int)
-            rows = [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-            with tr.span("approx.matmul_chunked", nbytes=a.nbytes + b.nbytes):
-                parts = map_workers(
-                    lambda block: _run_block(block, b, multiplier, xhi, whi, plan),
-                    rows,
-                    ParallelConfig(workers=blocks, backend="thread"),
-                )
-            return np.concatenate(parts, axis=0)
-        return _run_block(a, b, multiplier, xhi, whi, plan)
+        if plan is not None:
+            return plan.execute(a)
+        return _reference_matmul(a, b, multiplier, xhi, whi)
 
 
-def _run_block(
-    a: np.ndarray,
-    b: np.ndarray,
-    multiplier: Multiplier,
-    xhi: int,
-    whi: int,
-    plan: GemmPlan | None,
-) -> np.ndarray:
-    if plan is not None:
-        return plan.execute(a)
-    return _approx_matmul_block(a, b, multiplier, xhi, whi)
-
-
-def _approx_matmul_block(
+def _reference_matmul(
     a: np.ndarray, b: np.ndarray, multiplier: Multiplier, xhi: int, whi: int
 ) -> np.ndarray:
-    """The LUT-decomposition GEMM on one (row block of) operand ``a``.
+    """The uncached LUT-decomposition GEMM.
 
-    This is the uncached reference path; the plan path must stay bitwise
+    This is the reference path; the plan path must stay bitwise
     identical to it (``tests/approx/test_plan.py``).
     """
     # float32 accumulation is exact while every partial sum of integer
     # products stays below 2^24 (the float32 mantissa bound); gate at 2^23
     # for a 2x margin, fall back to float64 otherwise (docs/PERFORMANCE.md).
     max_product = float(np.abs(multiplier.lut).max())
-    use_f32 = max_product * a.shape[1] < 2.0**23
+    use_f32 = max_product * a.shape[1] < _EXACT_FLOAT32_BOUND
     lut = multiplier.signed_lut_f32() if use_f32 else multiplier.signed_lut_f64()
     dtype = np.float32 if use_f32 else np.float64
     itemsize = np.dtype(dtype).itemsize

@@ -37,8 +37,8 @@ convolution) — reordering exact integer sums cannot change them.
 :class:`PlanCache` is the per-layer memo keyed by a weight-version
 counter (see :class:`repro.nn.parameter.Parameter`); a training step
 bumps the version, so a stale plan is impossible by construction. The
-switches that force the uncached reference (:class:`plan_cache_disabled`,
-:class:`train_plans_disabled`) are scoped to the calling thread.
+one switch that forces the uncached reference, :class:`plan_cache_disabled`,
+is scoped to the calling thread.
 Cache hits/misses/revalidations/bypasses, plan builds (bit-plane builds
 separately) and repairs are counted on the metrics registry
 (``plan_cache.*``) and surfaced by ``repro report`` and Prometheus.
@@ -52,6 +52,7 @@ from typing import Any, Callable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro.approx.backend import _EXACT_FLOAT32_BOUND
 from repro.approx.multiplier import Multiplier
 from repro.approx.registry import as_multiplier
 from repro.autograd.im2col import conv_out_size
@@ -59,89 +60,35 @@ from repro.errors import MultiplierError, ShapeError
 from repro.obs import metrics as met
 from repro.obs import trace as tr
 
-# float32 partial sums of integer products are exact below 2^24 (the
-# mantissa bound); we gate at 2^23 to keep a 2x safety margin. The full
-# tier table lives in docs/PERFORMANCE.md.
-_EXACT_FLOAT32_BOUND = 2.0**23
-
-# Both switches are per thread: a ``plan_cache_disabled()`` block on one
+# The switch is per thread: a ``plan_cache_disabled()`` block on one
 # thread (a reference run) must not move serve replicas or other callers
 # on other threads onto the uncached path. Unset means enabled.
 _scope = threading.local()
 
 
-def enable_plan_cache() -> None:
-    """Re-enable plan caching on this thread (the default state)."""
-    _scope.caching = True
-
-
-def disable_plan_cache() -> None:
-    """Disable plan caching on this thread: every lookup rebuilds,
-    nothing is stored."""
-    _scope.caching = False
-
-
 def plan_caching_enabled() -> bool:
-    """Whether :class:`PlanCache` lookups on this thread may reuse stored plans."""
+    """Whether this thread may build and reuse plans (and the training
+    path's cached state)."""
     return getattr(_scope, "caching", True)
 
 
 class plan_cache_disabled:
-    """Context manager running a block with plan caching off on this thread.
+    """Context manager running a block on the uncached reference path.
 
-    The uncached path is the reference implementation; benchmarks and the
-    bitwise-equivalence tests use this to compare against it. Other
-    threads keep their own setting.
+    The one switch onto the reference: on this thread, no plan is built
+    or reused, no plan is revalidated or repaired, no backward operand
+    or im2col plan is cached, and every GEMM runs the plan-less
+    :func:`repro.approx.gemm.approx_matmul`. Benchmarks and the
+    bitwise-equivalence tests compare against it. Other threads keep
+    their own setting.
     """
 
     def __enter__(self) -> None:
         self._previous = plan_caching_enabled()
-        disable_plan_cache()
+        _scope.caching = False
 
     def __exit__(self, *exc) -> None:
-        if self._previous:
-            enable_plan_cache()
-
-
-def enable_train_plans() -> None:
-    """Re-enable the training-path plan extensions on this thread (the
-    default state)."""
-    _scope.train = True
-
-
-def disable_train_plans() -> None:
-    """Disable the training-path plan extensions only, on this thread.
-
-    The forward plan cache keeps working exactly as it did before the
-    training-path extensions existed: every weight-version bump is a full
-    miss/rebuild, backward state is recomputed per step and im2col runs
-    unplanned. Benchmarks use this to measure what this layer buys.
-    """
-    _scope.train = False
-
-
-def train_plans_enabled() -> bool:
-    """Whether the training-path plan extensions are active on this thread.
-
-    Covers code-level plan revalidation across optimizer steps, cached
-    backward operands (fake-quantized weights, exact-GEMM conversions)
-    and the shape-keyed im2col plans. Implied off while plan caching as a
-    whole is disabled.
-    """
-    return plan_caching_enabled() and getattr(_scope, "train", True)
-
-
-class train_plans_disabled:
-    """Context manager running a block with only the training-path plan
-    extensions off on this thread (forward plan caching stays on)."""
-
-    def __enter__(self) -> None:
-        self._previous = getattr(_scope, "train", True)
-        disable_train_plans()
-
-    def __exit__(self, *exc) -> None:
-        if self._previous:
-            enable_train_plans()
+        _scope.caching = self._previous
 
 
 def check_magnitude(codes: np.ndarray, bound: int, name: str, operand: str) -> None:
@@ -522,7 +469,6 @@ class PlanCache:
             return entry[2]
         if (
             revalidate is not None
-            and getattr(_scope, "train", True)
             and entry is not None
             and entry[1] is multiplier
             and isinstance(key, tuple)

@@ -17,8 +17,9 @@ loop — which runs the same shapes every batch — stops re-deriving layout
 and re-allocating/zeroing pad buffers per call. The planned paths perform
 the identical copies in the identical order, so results are **bitwise
 identical** to the unplanned reference; plans activate only while
-:func:`repro.approx.plan.train_plans_enabled` (and plan caching) are on,
-which is also how the equivalence tests force the reference path.
+:func:`repro.approx.plan.plan_caching_enabled`, so
+:class:`~repro.approx.plan.plan_cache_disabled` forces the reference
+path here too.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _col_plans_active() -> bool:
         from repro.approx import plan as _plan_module
 
         _plan_flags = _plan_module
-    return _plan_flags.train_plans_enabled()
+    return _plan_flags.plan_caching_enabled()
 
 
 def clear_col_plans() -> None:

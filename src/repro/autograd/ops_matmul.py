@@ -13,11 +13,10 @@ _backend_module = None  # lazily bound so autograd has no import-time approx dep
 
 
 def _float_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float GEMM through the active :mod:`repro.approx.backend`.
+    """Float GEMM through :func:`repro.approx.backend.float_matmul`.
 
-    Every shipped backend keeps float GEMMs exact, so backend selection
-    never changes results here — it is the single seam where an
-    accelerated substrate would plug in.
+    Read through the module attribute on every call, so instrumentation
+    that rebinds it sees every float GEMM of the autograd layer.
     """
     global _backend_module
     if _backend_module is None:

@@ -31,14 +31,9 @@ result lines stay on stdout for scripting), ``--verbose`` renders the
 event stream on the console, and ``--profile`` folds every span into
 per-name counters and prints the hot-path timer table after the command.
 
-The compute-heavy subcommands (``sweep``/``profile``/``approximate``/
-``evaluate``) additionally take ``--workers N`` (``docs/PERFORMANCE.md``):
-sweep cells and Monte-Carlo simulations spread over a worker pool and
-large approximate GEMMs run row-chunked on threads, with results
-identical to the serial ones on a fixed seed. They also accept
-``--gemm-backend NAME`` to pick the GEMM execution backend
-(``repro.approx.backend``; also via ``REPRO_GEMM_BACKEND``) — backend
-choice changes speed only, never results — and
+``sweep`` additionally takes ``--workers N`` (``docs/PERFORMANCE.md``):
+its grid cells spread over a worker pool, with results identical to the
+serial ones on a fixed seed. ``sweep``/``profile``/``approximate`` accept
 ``--error-model-method {auto,analytic,montecarlo}`` to pick the error
 model estimator (``repro.ge.estimator``; also via
 ``REPRO_ERROR_MODEL_METHOD``).
@@ -67,7 +62,6 @@ from repro.approx import (
     mean_relative_error,
     network_energy,
 )
-from repro.approx import backend as approx_backend
 from repro.data import make_synthetic_cifar
 from repro.errors import ReproError
 from repro.ge import estimate_error_model
@@ -428,7 +422,7 @@ def cmd_multipliers(args, console: obs_console.Console, log: obs_events.EventLog
 
 def cmd_profile(args, console: obs_console.Console, log: obs_events.EventLog) -> int:
     mult = get_multiplier(args.multiplier)
-    model = estimate_error_model(mult, rng=args.seed, workers=args.workers)
+    model = estimate_error_model(mult, rng=args.seed)
     method = config.resolve("error_model_method")
     console.info(
         f"multiplier: {mult.name} (MRE {100 * mean_relative_error(mult):.1f}%, "
@@ -543,29 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exceeds MB megabytes ('repro report' reads them transparently)",
     )
 
-    par_flags = argparse.ArgumentParser(add_help=False)
-    par = par_flags.add_argument_group("parallelism")
-    par.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker pool size for sweeps/profiling and threaded GEMM chunking "
-        "(default: 1 = serial; results are identical at any worker count)",
-    )
-
-    gemm_flags = argparse.ArgumentParser(add_help=False)
-    gemm = gemm_flags.add_argument_group("gemm backend")
-    gemm.add_argument(
-        "--gemm-backend",
-        choices=approx_backend.available_backends(),
-        default=None,
-        metavar="NAME",
-        help="GEMM execution backend (default: REPRO_GEMM_BACKEND or plan-lut); "
-        f"one of: {', '.join(approx_backend.available_backends())}. Backend "
-        "choice changes speed only — results are bitwise identical",
-    )
-
     em_flags = argparse.ArgumentParser(add_help=False)
     em = em_flags.add_argument_group("error model")
     em.add_argument(
@@ -675,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "quantize",
         help="8A4W quantization stage",
-        parents=[obs_flags, res_flags, gemm_flags],
+        parents=[obs_flags, res_flags],
     )
     _add_data_args(p)
     _add_train_args(p, default_lr=0.02)
@@ -689,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "approximate",
         help="approximation stage",
-        parents=[obs_flags, res_flags, par_flags, gemm_flags, em_flags],
+        parents=[obs_flags, res_flags, em_flags],
     )
     _add_data_args(p)
     _add_train_args(p, default_lr=0.02)
@@ -703,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "evaluate",
         help="evaluate a checkpoint",
-        parents=[obs_flags, par_flags, gemm_flags],
+        parents=[obs_flags],
     )
     _add_data_args(p)
     p.add_argument("--checkpoint", required=True)
@@ -713,12 +684,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="multiplier x method sweep on a quantized checkpoint",
-        parents=[obs_flags, res_flags, par_flags, gemm_flags, em_flags],
+        parents=[obs_flags, res_flags, em_flags],
     )
     _add_data_args(p)
     _add_train_args(p, default_lr=0.02)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--multipliers", nargs="+", required=True)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker pool size for the sweep's grid cells "
+        "(default: 1 = serial; results are identical at any worker count)",
+    )
     p.add_argument("--methods", nargs="+", default=["normal", "approxkd_ge"], choices=METHODS)
     p.add_argument("--out", help="write the sweep as JSON")
     p.add_argument(
@@ -759,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "profile",
         help="fit a multiplier's error model",
-        parents=[obs_flags, par_flags, gemm_flags, em_flags],
+        parents=[obs_flags, em_flags],
     )
     p.add_argument("--multiplier", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -793,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="serve a checkpoint with micro-batched inference (docs/SERVING.md)",
-        parents=[obs_flags, gemm_flags, serve_flags],
+        parents=[obs_flags, serve_flags],
     )
     p.add_argument("checkpoint", help="model checkpoint (.npz) to serve")
     p.add_argument(
@@ -911,20 +890,12 @@ def _loggable_config(args) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.parallel import ParallelConfig, set_default_config
-
     args = build_parser().parse_args(argv)
     console = obs_console.get_console()
-    # Install the worker count as the process-wide default so deep call
-    # sites (chunked GEMM, error-model fitting inside stages) see it too.
-    previous_parallel = set_default_config(
-        ParallelConfig(workers=max(1, getattr(args, "workers", 1)))
-    )
     # Runtime-knob flags land in the repro.config CLI tier (above the
     # environment, below configure()/scopes) and are restored on exit.
     previous_cli = config.set_cli_overrides(
         {
-            "gemm_backend": getattr(args, "gemm_backend", None),
             "error_model_method": getattr(args, "error_model_method", None),
             "serve_deadline_ms": getattr(args, "deadline_ms", None),
             "serve_max_batch": getattr(args, "max_batch", None),
@@ -999,7 +970,6 @@ def main(argv: list[str] | None = None) -> int:
             met.disable_metrics()
         obs_events.set_event_log(previous_log)
         log.close()
-        set_default_config(previous_parallel)
         config.set_cli_overrides(previous_cli)
     return code
 

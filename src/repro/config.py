@@ -1,9 +1,9 @@
 """Unified runtime configuration resolution (``repro.config``).
 
 Every runtime knob the library reads from its environment — worker
-parallelism, the GEMM backend, the serving deadlines — resolves through
-one helper, :func:`resolve`, implementing a single documented precedence
-(most specific wins):
+parallelism, the error-model estimator, the serving deadlines — resolves
+through one helper, :func:`resolve`, implementing a single documented
+precedence (most specific wins):
 
 1. **per-call kwarg** — an explicit argument at a call site
    (``resolve("serve_max_batch", call=value)``);
@@ -18,7 +18,7 @@ one helper, :func:`resolve`, implementing a single documented precedence
 
 This module is the only place in ``src/repro`` that reads ``REPRO_*``
 environment variables at runtime (asserted by the public-API tests);
-everything else — :mod:`repro.parallel`, :mod:`repro.approx.backend`,
+everything else — :mod:`repro.parallel`, :mod:`repro.ge`,
 :mod:`repro.serve` — calls :func:`resolve`. The knob registry below is
 also the provenance source for run metadata (:mod:`repro.obs.runmeta`).
 """
@@ -77,10 +77,6 @@ def _parse_flag(raw: str) -> bool:
     return raw.strip() not in ("", "0")
 
 
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 def _parse_choice(name: str, choices: tuple[str, ...]) -> Callable[[str], str]:
     def parse(raw: str) -> str:
         value = raw.strip().lower()
@@ -112,8 +108,7 @@ class Knob:
 
 # The knob registry. Defaults of ``None`` mean "auto": the consuming
 # module picks (e.g. ``cpus`` falls back to ``os.cpu_count()``,
-# ``gemm_backend`` to ``plan-lut``, ``serve_replicas`` to one replica
-# per usable CPU).
+# ``serve_replicas`` to one replica per usable CPU).
 KNOBS: dict[str, Knob] = {
     knob.name: knob
     for knob in (
@@ -140,13 +135,6 @@ KNOBS: dict[str, Knob] = {
             ),
             "error-model estimator: analytic (closed-form), montecarlo, or "
             "auto (analytic with Monte-Carlo fallback)",
-        ),
-        Knob(
-            "gemm_backend",
-            "REPRO_GEMM_BACKEND",
-            None,
-            _parse_str,
-            "GEMM execution backend name (default: plan-lut)",
         ),
         Knob(
             "serve_deadline_ms",

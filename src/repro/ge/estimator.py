@@ -97,7 +97,6 @@ def estimate_error_model(
     num_simulations: int = 50,
     slope_significance: float = 0.25,
     rng=None,
-    workers: int | None = None,
     method: str | None = None,
     act_dist: OperandDistribution | None = None,
     w_dist: OperandDistribution | None = None,
@@ -107,7 +106,7 @@ def estimate_error_model(
     engine.
 
     ``method`` overrides the ``error_model_method`` knob for this call.
-    ``num_simulations``/``rng``/``workers``/``gemm_rows``/``out_dim`` only
+    ``num_simulations``/``rng``/``gemm_rows``/``out_dim`` only
     affect the Monte-Carlo engine; ``act_dist``/``w_dist`` (operand
     distributions, e.g. from a quant observer's ``code_histogram``) only
     the analytic one. Shared shape kwargs (``reduce_dim``, ``act_bits``,
@@ -137,7 +136,6 @@ def estimate_error_model(
         num_simulations=num_simulations,
         slope_significance=slope_significance,
         rng=rng,
-        workers=workers,
         **profile_kwargs,
     )
 
@@ -173,7 +171,6 @@ def cross_validate(
     num_simulations: int = 50,
     slope_significance: float = 0.25,
     rng=0,
-    workers: int | None = None,
     grid_points: int = 257,
     **profile_kwargs,
 ) -> CrossValidation:
@@ -187,7 +184,6 @@ def cross_validate(
         multiplier,
         num_simulations=num_simulations,
         rng=rng,
-        workers=workers,
         **profile_kwargs,
     )
     mc_model = fit_error_model(

@@ -3,10 +3,8 @@
 See ``docs/PERFORMANCE.md``. Entry points:
 
 - :class:`ParallelConfig` / :func:`map_workers` — the executor layer used
-  by ``run_sweep(workers=...)``, Monte-Carlo profiling and the chunked
-  approximate GEMM;
-- :func:`set_default_config` — process-wide worker default (the CLI's
-  ``--workers`` flag lands here);
+  by ``run_sweep(workers=...)`` (the CLI's ``sweep --workers``);
+- :func:`set_default_config` — process-wide worker default;
 - :func:`fork_available` / :func:`resolve_backend` — platform probing.
 """
 

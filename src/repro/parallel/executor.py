@@ -1,8 +1,8 @@
 """Multi-worker executor: deterministic fan-out over independent work items.
 
-The sweeps behind Tables 5-7, Monte-Carlo error profiling and large
-approximate GEMMs are all embarrassingly parallel; this module is the one
-place that knows how to spread them over workers (``docs/PERFORMANCE.md``):
+The sweeps behind Tables 5-7 are embarrassingly parallel — independent
+grid cells that take minutes each; this module is the one place that
+knows how to spread work over workers (``docs/PERFORMANCE.md``):
 
 - :class:`ParallelConfig` selects a worker count and a backend
   (``process`` via fork for Python-heavy work, ``thread`` for
@@ -118,23 +118,12 @@ def force_parallel() -> bool:
     return bool(config.resolve("force_parallel"))
 
 
-def amortized_workers(
-    workers: int | None,
-    tasks: int,
-    *,
-    work: float | None = None,
-    min_work: float = 0.0,
-) -> int:
+def amortized_workers(workers: int | None, tasks: int) -> int:
     """Worker count after the can-it-amortize guard (``docs/PERFORMANCE.md``).
 
     Pool dispatch has a fixed cost per task and per fork, so fanning out
-    tiny workloads makes them *slower* — this is the one place that
-    decides when fan-out cannot win and serial is the faster plan:
-
-    - fewer than two tasks, or only one usable CPU
-      (:func:`cpu_parallelism`), or
-    - ``work`` (a caller-chosen size estimate, e.g. total MACs) below
-      ``min_work``.
+    cannot win with fewer than two tasks or only one usable CPU
+    (:func:`cpu_parallelism`); serial is the faster plan there.
 
     ``REPRO_FORCE_PARALLEL=1`` bypasses the guard so the concurrency
     test-suite can exercise real pools on single-core CI runners.
@@ -145,8 +134,6 @@ def amortized_workers(
     if force_parallel():
         return requested
     if tasks < 2 or cpu_parallelism() < 2:
-        return 1
-    if work is not None and work < min_work:
         return 1
     return requested
 

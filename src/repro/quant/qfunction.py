@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.approx.backend import float_matmul, get_backend
+from repro.approx.backend import float_matmul
 from repro.approx.gemm import approx_matmul, exact_int_matmul, exact_int_matmul_cached
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import (
@@ -49,7 +49,6 @@ from repro.approx.plan import (
     conv_plan_operand,
     plan_caching_enabled,
     repair_plan,
-    train_plans_enabled,
 )
 from repro.autograd.function import Function
 from repro.autograd.grad_mode import is_grad_enabled
@@ -141,8 +140,8 @@ def _needs_exact(error_model: PiecewiseLinearErrorModel | None) -> bool:
 def _bwd_cached(bwd: dict | None, key: str, make):
     """Memoize a backward operand in the layer state's side table.
 
-    With ``bwd`` None (no plan cache attached, or training-path plans
-    disabled) the operand is recomputed fresh — the reference behaviour.
+    With ``bwd`` None (no plan cache attached, or plan caching disabled)
+    the operand is recomputed fresh — the reference behaviour.
     """
     if bwd is None:
         return make()
@@ -220,14 +219,14 @@ class QuantLinearFunction(Function):
             state = plan_cache.get(
                 "linear", plan_key, multiplier, _build, revalidate=_revalidate
             )
-            use_train = train_plans_enabled()
+            reuse_state = plan_caching_enabled()
         else:
             wq, w_mask = _quantize_weight()
             state = LayerKernelState(wq, w_mask, None)
-            use_train = False
+            reuse_state = False
         wq = state.wq
         self.w_mask = state.w_mask
-        self._bwd = state.bwd if use_train else None
+        self._bwd = state.bwd if reuse_state else None
         need_exact = _needs_exact(error_model)
         y_int, y_exact = _int_gemm(
             xq,
@@ -235,7 +234,7 @@ class QuantLinearFunction(Function):
             multiplier,
             need_exact,
             plan=state.plan,
-            exact_cache=state.exact_ops if use_train else None,
+            exact_cache=state.exact_ops if reuse_state else None,
         )
         self.xq, self.wq = xq, wq
         self.scale = _gradient_scale(error_model, y_exact)
@@ -372,14 +371,14 @@ class QuantConv2dFunction(Function):
             state = plan_cache.get(
                 tag, plan_key, multiplier, _build, revalidate=_revalidate
             )
-            use_train = train_plans_enabled()
+            reuse_state = plan_caching_enabled()
         else:
             wq, w_mask = _quantize_weight()
             state = LayerKernelState(wq, w_mask, [None] * groups if grouped else None)
-            use_train = False
+            reuse_state = False
         wq = state.wq
         self.w_mask = state.w_mask
-        self._bwd = state.bwd if use_train else None
+        self._bwd = state.bwd if reuse_state else None
         plan_state = state.plan
         self.wq = wq
         need_exact = _needs_exact(error_model)
@@ -390,8 +389,8 @@ class QuantConv2dFunction(Function):
             # GEMM, the GE exact GEMM, or (lazily, from xq) the backward.
             self.xq, self.cols = xq, None
             w2d = wq.reshape(oc, -1).T
-            exact_cache = state.exact_ops if use_train else None
-            if plan_state is not None and get_backend().use_plans:
+            exact_cache = state.exact_ops if reuse_state else None
+            if plan_state is not None:
                 y_int = plan_state.execute_conv(xq, (kh, kw), stride, padding)
                 y_exact = None
                 if need_exact:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Generic, Iterator, TypeVar
 
+from repro.errors import ConfigError
+
 T = TypeVar("T")
 
 
@@ -33,11 +35,14 @@ class Registry(Generic[T]):
         return _do_register(factory)
 
     def create(self, name: str, /, **kwargs) -> T:
-        """Instantiate the entry registered under ``name``."""
+        """Instantiate the entry registered under ``name``.
+
+        An unknown name raises :class:`~repro.errors.ConfigError`.
+        """
         key = name.lower()
         if key not in self._entries:
             known = ", ".join(sorted(self._entries)) or "<none>"
-            raise KeyError(f"unknown {self._kind} {name!r}; known: {known}")
+            raise ConfigError(f"unknown {self._kind} {name!r}; known: {known}")
         return self._entries[key](**kwargs)
 
     def __contains__(self, name: str) -> bool:

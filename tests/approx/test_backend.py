@@ -1,130 +1,28 @@
-"""GEMM backend dispatch: registry, selection precedence, bitwise contract.
+"""The exact GEMM reference, the float GEMM seam and the active-path report.
 
-Backends may only change *how* a result is computed, never the result:
-every backend either produces the bitwise-identical answer or declines
-and the caller falls back to the tiered reference.
+``tiered_exact_int_matmul`` is the one exact integer GEMM; the cached
+variant gradient estimation uses must agree with it bit for bit in every
+tier. ``plan_cache_disabled()`` is the one switch onto the reference
+path, and ``default_backend()`` reports it for the calling thread only.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
-from repro.approx import get_multiplier
-from repro.approx.backend import (
-    GemmBackend,
-    available_backends,
-    default_backend,
-    gemm_backend,
-    get_backend,
-    int8_scaled_matmul,
-    quantize_per_axis,
-    set_default_backend,
-    tiered_exact_int_matmul,
-)
-from repro.approx.gemm import approx_matmul, exact_int_matmul
-from repro.approx.plan import build_plan
+from repro.approx import plan_cache_disabled
+from repro.approx.backend import default_backend, float_matmul, tiered_exact_int_matmul
+from repro.approx.gemm import exact_int_matmul, exact_int_matmul_cached
 from repro.errors import MultiplierError
 
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    previous = set_default_backend(None)
-    yield
-    set_default_backend(previous)
-
-
-class TestRegistry:
-    def test_three_backends_registered(self):
-        assert available_backends() == ["exact-blas", "int8-accumulate", "plan-lut"]
-
-    def test_default_is_plan_lut(self):
-        assert default_backend().name == "plan-lut"
-
-    def test_get_backend_resolves_names_instances_and_default(self):
-        assert get_backend("exact-blas").name == "exact-blas"
-        custom = GemmBackend()
-        assert get_backend(custom) is custom
-        assert get_backend(None) is default_backend()
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(MultiplierError, match="unknown GEMM backend"):
-            get_backend("does-not-exist")
-
-
-class TestSelection:
-    def test_env_variable_seeds_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GEMM_BACKEND", "int8-accumulate")
-        set_default_backend(None)  # force re-resolution from the environment
-        assert default_backend().name == "int8-accumulate"
-
-    def test_set_default_returns_previous_name(self):
-        assert set_default_backend("exact-blas") is None  # unresolved before
-        assert set_default_backend("plan-lut") == "exact-blas"
-
-    def test_context_manager_scopes_and_restores(self):
-        set_default_backend("plan-lut")
-        with gemm_backend("exact-blas") as active:
-            assert active.name == "exact-blas"
-            assert default_backend().name == "exact-blas"
-        assert default_backend().name == "plan-lut"
-
-    def test_context_manager_restores_after_exception(self):
-        set_default_backend("plan-lut")
-        with pytest.raises(RuntimeError):
-            with gemm_backend("int8-accumulate"):
-                raise RuntimeError("boom")
-        assert default_backend().name == "plan-lut"
-
-
-class TestExactBitwiseContract:
-    def _operands(self, rng, lo, hi):
-        a = rng.integers(lo, hi + 1, size=(7, 9)).astype(np.int64)
-        b = rng.integers(lo, hi + 1, size=(9, 5)).astype(np.int64)
-        return a, b
-
-    def test_all_backends_agree_on_int8_ranged_codes(self, rng):
-        a, b = self._operands(rng, -7, 7)
-        reference = tiered_exact_int_matmul(a, b)
-        for name in available_backends():
-            with gemm_backend(name):
-                np.testing.assert_array_equal(exact_int_matmul(a, b), reference)
-
-    def test_int8_backend_falls_back_on_wide_codes(self, rng):
-        # |codes| > 127: int8-accumulate declines and the tiered reference
-        # answers, so the result is still bitwise identical.
-        a, b = self._operands(rng, -1000, 1000)
-        backend = get_backend("int8-accumulate")
-        assert backend.exact_int(a, b) is None
-        with gemm_backend("int8-accumulate"):
-            np.testing.assert_array_equal(
-                exact_int_matmul(a, b), tiered_exact_int_matmul(a, b)
-            )
-
-    def test_int8_backend_handles_boundary_magnitude(self):
-        a = np.full((2, 3), 127, dtype=np.int64)
-        b = np.full((3, 2), -127, dtype=np.int64)
-        out = get_backend("int8-accumulate").exact_int(a, b)
-        np.testing.assert_array_equal(out, tiered_exact_int_matmul(a, b))
-        assert out.dtype == np.int64
-
-    def test_approx_matmul_identical_across_backends(self, rng):
-        mult = get_multiplier("truncated4")
-        a = rng.integers(-7, 8, size=(6, 10)).astype(np.int64)
-        b = rng.integers(-7, 8, size=(10, 4)).astype(np.int64)
-        plan = build_plan(b, mult)
-        reference = approx_matmul(a, b, mult)
-        # per-call selection beats the ambient default; exact-blas forces
-        # the unplanned scan even when a plan is supplied
-        np.testing.assert_array_equal(
-            approx_matmul(a, b, mult, plan=plan, backend="exact-blas"), reference
-        )
-        np.testing.assert_array_equal(
-            approx_matmul(a, b, mult, plan=plan, backend="plan-lut"), reference
-        )
-        for name in available_backends():
-            with gemm_backend(name):
-                np.testing.assert_array_equal(
-                    approx_matmul(a, b, mult, plan=plan), reference
-                )
+# (max |a|, max |b|, K): the worst-case partial sum |a|·|b|·K selects
+# each accumulation tier.
+TIERS = {
+    np.float32: (127, 7, 9),  # ~8e3 < 2^23
+    np.float64: (2**20, 2**10, 9),  # ~9e12: past 2^23, below 2^52
+    np.int64: (2**30, 2**29, 4),  # 2^61: past 2^52, below 2^63
+}
 
 
 class TestTieredReference:
@@ -156,41 +54,55 @@ class TestTieredReference:
         )
         assert out.shape == (0, 2)
 
+    @pytest.mark.parametrize("tier", list(TIERS), ids=lambda t: t.__name__)
+    def test_cached_matches_uncached_bitwise(self, tier, rng):
+        amax, bmax, k = TIERS[tier]
+        a = rng.integers(-amax, amax + 1, size=(6, k), dtype=np.int64)
+        b = rng.integers(-bmax, bmax + 1, size=(k, 5), dtype=np.int64)
+        a[0, 0], b[0, 0] = amax, bmax  # pin the maxima that select the tier
+        reference = exact_int_matmul(a, b)
+        np.testing.assert_array_equal(reference, a @ b)
+        cache: dict = {}
+        for _ in range(2):  # the second call reuses the cached conversion
+            out = exact_int_matmul_cached(a, b, cache)
+            assert out.dtype == reference.dtype == np.int64
+            np.testing.assert_array_equal(out, reference)
+        assert cache["absmax"] == bmax
+        assert cache[tier].dtype == tier  # b converted for this tier only
+        assert len(cache) == 2
 
-class TestInt8ScaledMatmul:
-    def test_exact_on_scale_aligned_grid(self, rng):
-        # Entries in [-127, 127] with per-row/-column absmax exactly 127:
-        # every scale is 1.0, quantization is the identity, the product
-        # is exact.
-        a = rng.integers(-127, 128, size=(4, 6)).astype(np.float32)
-        b = rng.integers(-127, 128, size=(6, 3)).astype(np.float32)
-        a[:, 0] = 127
-        b[0, :] = -127
-        np.testing.assert_array_equal(int8_scaled_matmul(a, b), a @ b)
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    def test_both_paths_raise_past_int64(self, cached):
+        a = np.array([[2**32]], dtype=np.int64)
+        b = np.array([[2**31]], dtype=np.int64)
+        with pytest.raises(MultiplierError, match="overflow the int64"):
+            if cached:
+                exact_int_matmul_cached(a, b, {})
+            else:
+                exact_int_matmul(a, b)
 
-    def test_error_bound_on_floats(self, rng):
-        a = rng.normal(size=(16, 32)).astype(np.float32)
-        b = rng.normal(size=(32, 8)).astype(np.float32)
-        approx = int8_scaled_matmul(a, b)
-        exact = a @ b
-        # worst-case per-element quantization error ~ absmax/254 per
-        # operand; the relative Frobenius error stays small
-        rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
-        assert rel < 0.02
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(MultiplierError):
-            int8_scaled_matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-        with pytest.raises(MultiplierError):
-            int8_scaled_matmul(np.zeros(3), np.zeros(3))
+class TestFloatMatmul:
+    def test_is_a_plain_matmul(self, rng):
+        a = rng.normal(size=(4, 3)).astype(np.float32)
+        b = rng.normal(size=(3, 2)).astype(np.float32)
+        np.testing.assert_array_equal(float_matmul(a, b), a @ b)
 
-    def test_rejects_overflowing_reduce_dim(self):
-        k = 2**18  # 127*127*2^18 > 2^31
-        with pytest.raises(MultiplierError, match="overflow"):
-            int8_scaled_matmul(np.zeros((1, k)), np.zeros((k, 1)))
 
-    def test_quantize_per_axis_zero_slices_get_unit_scale(self):
-        x = np.zeros((3, 4), dtype=np.float32)
-        codes, scales = quantize_per_axis(x, axis=0)
-        assert (codes == 0).all()
-        assert (scales == 1.0).all()
+class TestActivePath:
+    def test_default_is_plan_lut(self):
+        assert default_backend().name == "plan-lut"
+
+    def test_plan_cache_disabled_reports_exact_blas_on_this_thread_only(self):
+        seen = {}
+
+        def other_thread():
+            seen["other"] = default_backend().name
+
+        with plan_cache_disabled():
+            seen["inside"] = default_backend().name
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+        assert seen == {"inside": "exact-blas", "other": "plan-lut"}
+        assert default_backend().name == "plan-lut"

@@ -122,12 +122,12 @@ class TestColPlans:
         ]
 
     def test_im2col_identical_with_and_without_plans(self, rng):
-        from repro.approx.plan import train_plans_disabled
+        from repro.approx.plan import plan_cache_disabled
         from repro.autograd.im2col import clear_col_plans
 
         for x, kernel, stride, padding in self._cases(rng):
             clear_col_plans()
-            with train_plans_disabled():
+            with plan_cache_disabled():
                 ref, ref_shape = im2col(x, kernel, stride, padding)
             for _ in range(3):  # repeat so pooled buffers get reused
                 cols, out_shape = im2col(x, kernel, stride, padding)
@@ -135,14 +135,14 @@ class TestColPlans:
                 np.testing.assert_array_equal(cols, ref)
 
     def test_col2im_identical_with_and_without_plans(self, rng):
-        from repro.approx.plan import train_plans_disabled
+        from repro.approx.plan import plan_cache_disabled
         from repro.autograd.im2col import clear_col_plans
 
         for x, kernel, stride, padding in self._cases(rng):
             cols, _ = im2col(x, kernel, stride, padding)
             c = rng.normal(size=cols.shape).astype(np.float64)
             clear_col_plans()
-            with train_plans_disabled():
+            with plan_cache_disabled():
                 ref = col2im(c, x.shape, kernel, stride, padding)
             for _ in range(3):
                 np.testing.assert_array_equal(

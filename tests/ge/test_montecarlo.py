@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.approx import ExactMultiplier, get_multiplier
+from repro.errors import ConfigError
 from repro.ge import estimate_error_model, profile_multiplier_error
 
 
@@ -25,6 +26,15 @@ class TestProfiling:
         b = profile_multiplier_error(get_multiplier("truncated4"), num_simulations=3, rng=5)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.eps, b.eps)
+
+    @pytest.mark.parametrize("size", ["num_simulations", "gemm_rows", "reduce_dim", "out_dim"])
+    def test_nonpositive_sizes_raise_config_error(self, size):
+        with pytest.raises(ConfigError, match=f"{size} must be >= 1"):
+            profile_multiplier_error(get_multiplier("truncated3"), rng=0, **{size: 0})
+
+    def test_estimate_with_zero_simulations_raises_config_error(self):
+        with pytest.raises(ConfigError, match="num_simulations"):
+            estimate_error_model("truncated3", num_simulations=0, method="montecarlo")
 
     def test_samples_respect_quantization_ranges(self):
         profile = profile_multiplier_error(
@@ -61,48 +71,3 @@ class TestFittedModels:
         start = time.perf_counter()
         estimate_error_model(get_multiplier("truncated5"), rng=0)
         assert time.perf_counter() - start < 2.0
-
-
-class TestLazyChunkDraws:
-    """The profiler materializes one simulation's operands at a time.
-
-    Peak memory is one (rows x K) + (K x out) pair per in-flight chunk
-    instead of the whole simulation batch; the observable contract is
-    that the *parent* generator's consumption is identical on every
-    schedule — a caller's generator ends in the same state whether the
-    profile ran serially or fanned out to workers.
-    """
-
-    def test_external_generator_state_is_schedule_independent(self):
-        mult = get_multiplier("truncated3")
-        rng_serial = np.random.default_rng(9)
-        serial = profile_multiplier_error(mult, num_simulations=9, rng=rng_serial)
-        rng_parallel = np.random.default_rng(9)
-        parallel = profile_multiplier_error(
-            mult, num_simulations=9, rng=rng_parallel, workers=3
-        )
-        np.testing.assert_array_equal(serial.eps, parallel.eps)
-        assert rng_serial.random() == rng_parallel.random()
-
-    def test_chunks_of_one_match_one_big_chunk(self):
-        """Draw order is per-simulation, so chunking cannot change it."""
-        from repro.ge.montecarlo import _ChunkSpec, _simulate_chunk
-
-        mult = get_multiplier("truncated4")
-        spec = dict(
-            gemm_rows=8, reduce_dim=16, out_dim=4, act_bits=8, weight_bits=4,
-            sigma_fraction=0.35,
-        )
-        whole = _simulate_chunk(
-            mult, _ChunkSpec(rng_state=None, count=4, **spec),
-            rng=np.random.default_rng(11),
-        )
-        rng = np.random.default_rng(11)
-        pieces = [
-            _simulate_chunk(mult, _ChunkSpec(rng_state=None, count=1, **spec), rng=rng)[0]
-            for _ in range(4)
-        ]
-        assert len(whole) == 4
-        for (y_whole, eps_whole), (y_piece, eps_piece) in zip(whole, pieces):
-            np.testing.assert_array_equal(y_whole, y_piece)
-            np.testing.assert_array_equal(eps_whole, eps_piece)

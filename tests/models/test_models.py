@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, softmax_cross_entropy
+from repro.errors import ConfigError
 from repro.models import (
     MODELS,
     MobileNetV2,
@@ -112,7 +113,7 @@ class TestRegistry:
         assert model.num_parameters() > 0
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="unknown model 'vgg16'"):
             create_model("vgg16")
 
     def test_case_insensitive(self):

@@ -160,22 +160,23 @@ class TestConsoleFlags:
         assert any(t["name"] == "approx.lut_gather" for t in profile_event["timers"])
 
     @pytest.mark.skipif(not fork_available(), reason="process workers need fork")
-    def test_profile_merges_worker_rows(self, tmp_path, capsys, monkeypatch):
-        # Monte-Carlo fitting fanned out to two worker processes: their
+    def test_profile_merges_worker_rows(self, cli_run, tmp_path, capsys, monkeypatch):
+        # A sweep of two cells fanned out to two worker processes: their
         # span rows come back through the metrics merge into one table.
         monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
         logfile = tmp_path / "workers.jsonl"
         assert main([
-            "profile", "--multiplier", "truncated4",
-            "--error-model-method", "montecarlo", "--workers", "2",
-            "--profile", "--log-json", str(logfile),
+            "sweep", "--checkpoint", str(cli_run["checkpoints"]["quant"]),
+            "--multipliers", "truncated3", "truncated4", "--methods", "normal",
+            "--workers", "2", "--profile", "--log-json", str(logfile),
+            *FAST_DATA, *FAST_TRAIN,
         ]) == 0
         assert "parallel.task" in capsys.readouterr().out
         (profile_event,) = ev.iter_events(ev.read_events(logfile), ev.PROFILE)
         rows = {t["name"]: t for t in profile_event["timers"]}
         # parallel.task spans only ever open inside the worker processes
         assert rows["parallel.task"]["calls"] >= 2
-        assert rows["ge.montecarlo_profile"]["calls"] == 1
+        assert rows["sweep.cell"]["calls"] == 2
         assert main(["report", str(logfile)]) == 0
         assert "parallel.task" in capsys.readouterr().out
 

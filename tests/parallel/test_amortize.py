@@ -1,17 +1,14 @@
-"""The small-work amortization guard: fan-out only when it can win.
+"""The amortization guard: fan-out only when it can win.
 
-BENCH_pr3.json measured the paper-default Monte-Carlo profile running
-~3.5x *slower* on 4 workers than serially on a one-core container —
-dispatch and fork cost swamped the work. ``amortized_workers`` is the
-fix; these tests pin its policy and the call sites that honour it.
+On one usable CPU, or with fewer than two tasks, pool dispatch and fork
+cost cannot be recovered, so ``amortized_workers`` keeps the work serial;
+these tests pin that policy.
 """
 
-import numpy as np
 import pytest
 
 from repro import parallel as par
 from repro.errors import ConfigError
-from repro.ge import montecarlo
 
 pytestmark = pytest.mark.parallel
 
@@ -54,64 +51,12 @@ class TestAmortizedWorkers:
         assert par.amortized_workers(4, tasks=1) == 1
         assert par.amortized_workers(4, tasks=2) == 4
 
-    def test_small_work_stays_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CPUS", "8")
-        assert par.amortized_workers(4, tasks=50, work=1000.0, min_work=2**25) == 1
-        assert par.amortized_workers(4, tasks=50, work=2.0**26, min_work=2**25) == 4
-
     def test_force_parallel_bypasses_every_guard(self, monkeypatch):
         monkeypatch.setenv("REPRO_CPUS", "1")
         monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-        assert par.amortized_workers(4, tasks=1, work=0.0, min_work=1e9) == 4
+        assert par.amortized_workers(4, tasks=1) == 4
 
     def test_force_parallel_zero_means_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_CPUS", "1")
         monkeypatch.setenv("REPRO_FORCE_PARALLEL", "0")
         assert par.amortized_workers(4, tasks=100) == 1
-
-
-class TestMonteCarloFallback:
-    def test_default_profile_runs_serially_even_with_workers(self, monkeypatch):
-        # The paper-default profile (50 sims of 64x72x16 MACs) is below the
-        # amortization threshold: workers=4 must not touch the pool.
-        monkeypatch.setenv("REPRO_CPUS", "8")
-
-        def _no_pool(*args, **kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("map_workers must not run for small MC profiles")
-
-        monkeypatch.setattr(montecarlo, "map_workers", _no_pool)
-        profile = montecarlo.profile_multiplier_error(
-            _mult(), num_simulations=50, rng=0, workers=4
-        )
-        assert profile.y.size == 50 * 64 * 16
-
-    def test_large_profiles_still_fan_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CPUS", "8")
-        calls = []
-        real = montecarlo.map_workers
-
-        def _spy(fn, items, config, **kwargs):
-            calls.append(config.workers)
-            return real(fn, items, config, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "map_workers", _spy)
-        montecarlo.profile_multiplier_error(
-            _mult(), num_simulations=8, gemm_rows=512, reduce_dim=144, out_dim=64,
-            rng=0, workers=2,
-        )
-        assert calls == [2]
-
-    def test_serial_and_guarded_results_are_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CPUS", "1")
-        serial = montecarlo.profile_multiplier_error(_mult(), num_simulations=7, rng=5)
-        guarded = montecarlo.profile_multiplier_error(
-            _mult(), num_simulations=7, rng=5, workers=4
-        )
-        np.testing.assert_array_equal(serial.y, guarded.y)
-        np.testing.assert_array_equal(serial.eps, guarded.eps)
-
-
-def _mult():
-    from repro.approx import get_multiplier
-
-    return get_multiplier("truncated4")

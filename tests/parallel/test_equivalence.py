@@ -1,18 +1,13 @@
 """Parallel execution must not change results — only wall time.
 
-Every parallelised hot path is checked against its serial twin on a fixed
-seed: the sweep point-for-point, Monte-Carlo profiling bit-for-bit, and
-the chunked GEMM bitwise.
+The parallel sweep is checked against its serial twin point-for-point on
+a fixed seed.
 """
 
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 
-from repro.approx import get_multiplier
-from repro.approx.gemm import ROW_BLOCK, approx_matmul
-from repro.ge import estimate_error_model, profile_multiplier_error
 from repro.parallel import fork_available
 from repro.pipeline import run_sweep
 from repro.train import TrainConfig
@@ -83,67 +78,3 @@ class TestSweepEquivalence:
         assert len(resumed.points) == 2
         # the already-completed cell was reloaded, not re-run
         assert _comparable(resumed.points[0]) == _comparable(first.points[0])
-
-
-class TestMonteCarloEquivalence:
-    def test_parallel_profile_is_bit_for_bit_serial(self):
-        mult = get_multiplier("truncated4")
-        serial = profile_multiplier_error(mult, num_simulations=11, rng=3)
-        parallel = profile_multiplier_error(mult, num_simulations=11, rng=3, workers=4)
-        np.testing.assert_array_equal(serial.y, parallel.y)
-        np.testing.assert_array_equal(serial.eps, parallel.eps)
-
-    def test_fitted_error_model_is_unchanged(self):
-        mult = get_multiplier("truncated5")
-        serial = estimate_error_model(mult, rng=0)
-        parallel = estimate_error_model(mult, rng=0, workers=3)
-        assert parallel.k == serial.k
-        assert parallel.c == serial.c
-        assert parallel.lower == serial.lower
-        assert parallel.upper == serial.upper
-
-    def test_generator_input_also_supported(self):
-        # parent-side sampling means an externally-owned generator stream
-        # still parallelises deterministically
-        mult = get_multiplier("truncated3")
-        serial = profile_multiplier_error(
-            mult, num_simulations=6, rng=np.random.default_rng(9)
-        )
-        parallel = profile_multiplier_error(
-            mult, num_simulations=6, rng=np.random.default_rng(9), workers=2
-        )
-        np.testing.assert_array_equal(serial.y, parallel.y)
-        np.testing.assert_array_equal(serial.eps, parallel.eps)
-
-
-class TestGemmEquivalence:
-    def test_chunked_gemm_bitwise_identical(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(-127, 128, size=(3 * ROW_BLOCK + 17, 72)).astype(np.int32)
-        b = rng.integers(-7, 8, size=(72, 24)).astype(np.int32)
-        mult = get_multiplier("truncated4")
-        serial = approx_matmul(a, b, mult, workers=1)
-        for workers in (2, 4, 7):
-            np.testing.assert_array_equal(
-                approx_matmul(a, b, mult, workers=workers), serial
-            )
-
-    def test_small_inputs_stay_on_the_serial_path(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(-127, 128, size=(ROW_BLOCK // 2, 16)).astype(np.int32)
-        b = rng.integers(-7, 8, size=(16, 8)).astype(np.int32)
-        mult = get_multiplier("truncated3")
-        np.testing.assert_array_equal(
-            approx_matmul(a, b, mult, workers=8), approx_matmul(a, b, mult)
-        )
-
-    def test_exact_multiplier_unaffected(self):
-        from repro.approx import ExactMultiplier
-
-        rng = np.random.default_rng(2)
-        a = rng.integers(-127, 128, size=(2 * ROW_BLOCK, 12)).astype(np.int32)
-        b = rng.integers(-7, 8, size=(12, 6)).astype(np.int32)
-        expected = (a.astype(np.int64) @ b.astype(np.int64))
-        np.testing.assert_array_equal(
-            approx_matmul(a, b, ExactMultiplier(), workers=4), expected
-        )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.approx import gemm_backend, get_multiplier, plan_cache_disabled
+from repro.approx import get_multiplier, plan_cache_disabled
 from repro.approx.gemm import approx_matmul
 from repro.approx.plan import GemmPlan, build_plan, conv_plan_operand
 from repro.autograd import Tensor
@@ -91,11 +91,12 @@ class TestFusedConvBitwise:
             fused = conv(x).data  # builds and caches the plan
 
             def refuse(*args, **kwargs):
-                raise AssertionError("exact-blas must not run the planned conv")
+                raise AssertionError("the reference path must not run the planned conv")
 
             monkeypatch.setattr(GemmPlan, "execute_conv", refuse)
-            with gemm_backend("exact-blas"):
+            with plan_cache_disabled():  # the cached plan is still stored
                 reference = conv(x).data
+        assert len(conv._plan_cache) == 1
         np.testing.assert_array_equal(fused, reference)
 
 

@@ -3,24 +3,16 @@
 The training loop reuses weight-derived kernel state across optimizer
 steps — plan revalidation/repair, cached backward weight layouts,
 memoized exact-GEMM operands and shape-keyed im2col plans. All of it is
-an *optimization only*: training with the full cached path, with only
-the forward plan cache (the pre-training-plans behaviour) and with
-caching disabled entirely must produce bitwise-identical weights and
-logits at every step.
+an *optimization only*: training with the full cached path and under
+``plan_cache_disabled()`` (the uncached reference) must produce
+bitwise-identical weights and logits at every step.
 """
 
 import copy
-from contextlib import nullcontext
 
 import numpy as np
 
-from repro.approx import (
-    build_plan,
-    get_multiplier,
-    plan_cache_disabled,
-    train_plans_disabled,
-    train_plans_enabled,
-)
+from repro.approx import build_plan, get_multiplier, plan_cache_disabled
 from repro.approx.plan import conv_plan_operand
 from repro.autograd import Tensor
 from repro.autograd.im2col import clear_col_plans
@@ -97,31 +89,18 @@ def _batches(rng, steps, x_shape, g_shape, g_scale=1e-2):
     return xs, gs
 
 
-CONTEXTS = {
-    "uncached": plan_cache_disabled,
-    "prior": train_plans_disabled,
-    "cached": nullcontext,
-}
-
-
 class TestTrainingBitwiseEquivalence:
     def test_linear_training_identical_across_cache_modes(self, rng):
         xs, gs = _batches(rng, 5, (6, 12), (6, 5))
-        runs = {}
-        for mode, ctx in CONTEXTS.items():
-            with ctx():
-                runs[mode] = _train(_build_mlp, xs, gs)
-        _assert_histories_identical(runs["uncached"], runs["prior"], "prior")
-        _assert_histories_identical(runs["uncached"], runs["cached"], "cached")
+        with plan_cache_disabled():
+            reference = _train(_build_mlp, xs, gs)
+        _assert_histories_identical(reference, _train(_build_mlp, xs, gs), "cached")
 
     def test_conv_training_identical_across_cache_modes(self, rng):
         xs, gs = _batches(rng, 4, (3, 3, 8, 8), (3, 6, 4, 4))
-        runs = {}
-        for mode, ctx in CONTEXTS.items():
-            with ctx():
-                runs[mode] = _train(_build_conv, xs, gs)
-        _assert_histories_identical(runs["uncached"], runs["prior"], "prior")
-        _assert_histories_identical(runs["uncached"], runs["cached"], "cached")
+        with plan_cache_disabled():
+            reference = _train(_build_conv, xs, gs)
+        _assert_histories_identical(reference, _train(_build_conv, xs, gs), "cached")
 
     def test_refresh_weight_step_mid_run_stays_identical(self, rng):
         xs, gs = _batches(rng, 4, (6, 12), (6, 5))
@@ -243,22 +222,37 @@ class TestRevalidation:
         assert np.ndim(out.creator.scale) == 2  # GE ran its exact GEMM
         np.testing.assert_array_equal(out.creator.scale, ref_out.creator.scale)
 
-    def test_train_plans_disabled_restores_prior_miss_behaviour(self, rng, profiled):
-        xs, gs = _batches(rng, 3, (6, 12), (6, 5))
-        with train_plans_disabled():
-            assert not train_plans_enabled()
-            with profiled() as rows:
-                _train(_build_mlp, xs, gs, lr=1e-12)
-        # every step is a fresh miss: no revalidation at all
-        assert "plan_cache.revalidate" not in rows
-        assert rows["plan_cache.build"]["calls"] == 6
+    def test_plan_cache_disabled_keeps_no_training_state(self, rng, profiled):
+        # The reference path builds no ColPlan, revalidates or repairs no
+        # plan and caches no backward operand. The cached path does all of
+        # it on the same run: the large lr flips codes, so plans get repaired.
+        xs, gs = _batches(rng, 3, (2, 3, 8, 8), (2, 6, 4, 4), g_scale=1.0)
 
-    def test_col_plans_only_built_when_train_plans_enabled(self, rng, profiled):
-        xs, gs = _batches(rng, 2, (2, 3, 8, 8), (2, 6, 4, 4))
-        clear_col_plans()
-        with train_plans_disabled(), profiled() as rows:
-            _train(_build_conv, xs, gs)
+        def run():
+            clear_col_plans()
+            layers = _build_conv()
+            opt = SGD([p for layer in layers for p in layer.parameters()], lr=0.5)
+            with profiled() as rows:
+                for xb, gb in zip(xs, gs):
+                    opt.zero_grad()
+                    h = Tensor(xb)
+                    for layer in layers:
+                        h = layer(h)
+                    h.backward(gb)
+                    opt.step()
+            return rows, [len(layer._plan_cache) for layer in layers], h.creator._bwd
+
+        with plan_cache_disabled():
+            rows, stored, bwd = run()
         assert "autograd.col_plan_built" not in rows
-        with profiled() as rows:
-            _train(_build_conv, xs, gs)
+        assert "plan_cache.repair" not in rows
+        assert "plan_cache.revalidate" not in rows
+        assert rows["plan_cache.bypass"]["calls"] == 2 * len(xs)
+        assert bwd is None
+        assert stored == [0, 0]
+
+        rows, stored, bwd = run()
         assert rows["autograd.col_plan_built"]["calls"] >= 1
+        assert rows["plan_cache.repair"]["calls"] >= 1
+        assert "w_fq2" in bwd
+        assert stored == [1, 1]

@@ -145,9 +145,3 @@ class TestConsumersRouteThroughConfig:
         assert force_parallel() is False
         config.configure(force_parallel=True)
         assert force_parallel() is True
-
-    def test_gemm_backend_honours_scope(self):
-        from repro.approx import backend as approx_backend
-
-        with config.config_scope(gemm_backend="exact-blas"):
-            assert approx_backend.default_backend().name == "exact-blas"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.utils import Registry, new_rng, spawn_rngs
 
 
@@ -31,7 +32,7 @@ class TestRegistry:
     def test_unknown_lists_known(self):
         reg = Registry("widget")
         reg.register("only", lambda: None)
-        with pytest.raises(KeyError, match="only"):
+        with pytest.raises(ConfigError, match="only"):
             reg.create("missing")
 
     def test_contains_and_iter(self):
