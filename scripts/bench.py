@@ -17,9 +17,9 @@ Times the parallel sweep (``docs/PERFORMANCE.md``) serially and at
   earlier run of the same bench (e.g. on the parent commit) in it.
 - **train** — repeated-batch retraining (forward + backward + SGD step)
   of an approximate MLP and CNN, uncached (``plan_cache_disabled``) and
-  with the full training path (plan revalidation, cached backward
-  operands, im2col plans); weights and logits are asserted bitwise
-  identical across the two.
+  with the cached training path (plans plus revalidation/repair across
+  optimizer steps); weights and logits are asserted bitwise identical
+  across the two.
 - **analytic** — closed-form error models vs Monte-Carlo
   characterization over the multiplier registry (``repro.ge.analytic``),
   with per-candidate cross-validation of the two fitted models; the
@@ -216,10 +216,9 @@ def bench_train(workers: int, smoke: bool) -> dict:
     on the same batches:
 
     - **uncached** — ``plan_cache_disabled()``, the reference GEMM;
-    - **cached** — the full training path: code-level plan revalidation
-      and repair across steps, cached backward weight layouts, memoized
-      exact-GEMM operands (gradient estimation) and shape-keyed im2col
-      plans.
+    - **cached** — the training path: weight-stationary plans, kept
+      across optimizer steps by code-level revalidation and repaired in
+      place when a few codes change.
 
     ``speedup`` is uncached over cached time, for the MLP and (under
     ``conv``) the CNN. Final weights and logits must be bitwise identical.
@@ -227,7 +226,6 @@ def bench_train(workers: int, smoke: bool) -> dict:
     from contextlib import nullcontext
 
     from repro.approx import get_multiplier, plan_cache_disabled
-    from repro.autograd.im2col import clear_col_plans
     from repro.autograd.tensor import Tensor
     from repro.ge.error_model import PiecewiseLinearErrorModel
     from repro.quant import QuantConv2d, QuantLinear
@@ -301,7 +299,6 @@ def bench_train(workers: int, smoke: bool) -> dict:
         trained = {}
         for _ in range(reps):
             for mode, ctx in contexts.items():
-                clear_col_plans()
                 layers = trained[mode] = build()
                 with ctx():
                     times[mode] = min(times[mode], _timed(lambda: train(layers, xs, gs)))

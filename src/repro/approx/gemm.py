@@ -58,11 +58,12 @@ def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def exact_int_matmul_cached(a: np.ndarray, b: np.ndarray, cache: dict) -> np.ndarray:
     """:func:`exact_int_matmul` with memoized conversions of operand ``b``.
 
-    Gradient estimation runs an exact GEMM alongside every approximate one
-    with the *same* weight operand each batch; ``cache`` (owned by the
-    layer's :class:`~repro.approx.plan.LayerKernelState`) memoizes the
-    dtype conversion and magnitude of ``b`` across batches. Same tiered
-    implementation, so the result is bitwise identical.
+    For callers that multiply many ``a`` by one frozen ``b``: ``cache``
+    (a dict the caller owns) memoizes the dtype conversion and magnitude
+    of ``b`` across calls. Same tiered implementation, so the result is
+    bitwise identical. The layers do not use it: the conversion costs
+    nothing measurable next to the GEMM (docs/PERFORMANCE.md, "The
+    training path").
     """
     a = np.asarray(a)
     b = np.asarray(b)

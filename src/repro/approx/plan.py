@@ -67,8 +67,7 @@ _scope = threading.local()
 
 
 def plan_caching_enabled() -> bool:
-    """Whether this thread may build and reuse plans (and the training
-    path's cached state)."""
+    """Whether this thread may build, reuse, revalidate and repair plans."""
     return getattr(_scope, "caching", True)
 
 
@@ -76,9 +75,8 @@ class plan_cache_disabled:
     """Context manager running a block on the uncached reference path.
 
     The one switch onto the reference: on this thread, no plan is built
-    or reused, no plan is revalidated or repaired, no backward operand
-    or im2col plan is cached, and every GEMM runs the plan-less
-    :func:`repro.approx.gemm.approx_matmul`. Benchmarks and the
+    or reused, no plan is revalidated or repaired, and every GEMM runs
+    the plan-less :func:`repro.approx.gemm.approx_matmul`. Benchmarks and the
     bitwise-equivalence tests compare against it. Other threads keep
     their own setting.
     """
@@ -110,34 +108,16 @@ class LayerKernelState:
 
     Holds the quantized weight codes, the clipped-STE mask and the
     forward plan (``None`` on the exact path, a list for grouped
-    convolutions), plus two lazily populated side tables used by the
-    training path:
-
-    - ``bwd`` — fake-quantized weight layouts for the backward GEMMs
-      (``∂C/∂X`` multiplies by ``wq·step``, which is batch-invariant);
-    - ``exact_ops`` — dtype-converted weight operands for the exact GEMM
-      that gradient estimation runs alongside the approximate one.
-
-    Both survive code-level revalidation: when an optimizer step leaves
-    the integer codes (and steps) unchanged, ``wq·step`` is unchanged
-    too, so the cached arrays remain bitwise-valid.
+    convolutions). Revalidation keeps the plan across an optimizer step
+    when the integer codes are unchanged or the plan can be repaired.
     """
 
-    __slots__ = ("wq", "w_mask", "plan", "bwd", "exact_ops")
+    __slots__ = ("wq", "w_mask", "plan")
 
     def __init__(self, wq: np.ndarray, w_mask: np.ndarray, plan: Any = None):
         self.wq = wq
         self.w_mask = w_mask
         self.plan = plan
-        self.bwd: dict = {}
-        self.exact_ops: dict = {}
-
-    def adopt(self, other: "LayerKernelState") -> "LayerKernelState":
-        """Carry another state's plan and lazy side tables (revalidation)."""
-        self.plan = other.plan
-        self.bwd = other.bwd
-        self.exact_ops = other.exact_ops
-        return self
 
 
 class GemmPlan:

@@ -12,7 +12,6 @@ from repro.parallel.executor import (
     BACKENDS,
     ParallelConfig,
     amortized_workers,
-    chunked,
     cpu_parallelism,
     effective_workers,
     force_parallel,
@@ -28,7 +27,6 @@ __all__ = [
     "BACKENDS",
     "ParallelConfig",
     "amortized_workers",
-    "chunked",
     "cpu_parallelism",
     "effective_workers",
     "force_parallel",

@@ -29,7 +29,7 @@ import threading
 from concurrent.futures import FIRST_EXCEPTION, Executor, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro import config
 from repro.errors import ConfigError
@@ -354,19 +354,3 @@ def persistent_executor(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix=thread_name_prefix)
-
-
-def chunked(items: Sequence, chunks: int) -> list[list]:
-    """Split ``items`` into at most ``chunks`` contiguous, order-preserving
-    runs of near-equal length (no empty chunks)."""
-    items = list(items)
-    if not items:
-        return []
-    chunks = max(1, min(chunks, len(items)))
-    size, extra = divmod(len(items), chunks)
-    out, start = [], 0
-    for index in range(chunks):
-        stop = start + size + (1 if index < extra else 0)
-        out.append(items[start:stop])
-        start = stop
-    return out

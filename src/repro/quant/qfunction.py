@@ -23,15 +23,15 @@ unfolded only when something reads the columns — the exact GEMM of
 gradient estimation, or the backward pass, which builds them lazily from
 the stored NCHW codes — so under ``no_grad`` no ``im2col`` runs.
 
-Weight-derived state is memoized in a
+Weight-derived state — the weight codes, their clipped-STE mask and the
+forward GEMM plan — is memoized in a
 :class:`~repro.approx.plan.LayerKernelState` held by the layer's
-:class:`~repro.approx.plan.PlanCache`: the forward GEMM plan, the
-fake-quantized weight layouts the backward pass needs, and the converted
-exact-GEMM operands gradient estimation needs. A revalidation hook keeps
-all of it alive across optimizer steps whenever the *integer codes* did
-not change (small-learning-rate SGD barely moves 4-bit codes), which is
-what makes repeated-batch retraining as cheap as repeated evaluation.
-Every cached path is bitwise identical to the uncached reference
+:class:`~repro.approx.plan.PlanCache`. A revalidation hook keeps the plan
+across an optimizer step when the *integer codes* did not change
+(small-learning-rate SGD barely moves 4-bit codes) and repairs it in place
+when a few codes did; anything else rebuilds. The backward pass and the
+exact GEMM of gradient estimation recompute their weight operands every
+call. Every cached path is bitwise identical to the uncached reference
 (``tests/quant/test_train_plans.py``).
 """
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.approx.backend import float_matmul
-from repro.approx.gemm import approx_matmul, exact_int_matmul, exact_int_matmul_cached
+from repro.approx.gemm import approx_matmul, exact_int_matmul
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import (
     GemmPlan,
@@ -89,30 +89,21 @@ def _int_gemm(
     multiplier: Multiplier | None,
     need_exact: bool,
     plan: GemmPlan | None = None,
-    exact_cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Integer GEMM, approximate when a non-exact multiplier is given.
 
     Returns ``(y_int, y_exact)`` where ``y_exact`` is only materialised when
     ``need_exact`` (for GE region tests) and differs from ``y_int``. ``plan``
-    is an optional weight-stationary plan built from this exact ``b``;
-    ``exact_cache`` optionally memoizes the exact path's conversions of
-    ``b`` across batches (:func:`repro.approx.gemm.exact_int_matmul_cached`).
-    The result is bitwise identical with or without either.
+    is an optional weight-stationary plan built from this exact ``b``; the
+    result is bitwise identical with or without it.
     """
 
     if multiplier is None or multiplier.is_exact:
-        y = _exact_gemm(a, b, exact_cache)
+        y = exact_int_matmul(a, b)
         return y, (y if need_exact else None)
     y = approx_matmul(a, b, multiplier, plan=plan)
-    y_exact = _exact_gemm(a, b, exact_cache) if need_exact else None
+    y_exact = exact_int_matmul(a, b) if need_exact else None
     return y, y_exact
-
-
-def _exact_gemm(a: np.ndarray, b: np.ndarray, exact_cache: dict | None) -> np.ndarray:
-    if exact_cache is not None:
-        return exact_int_matmul_cached(a, b, exact_cache)
-    return exact_int_matmul(a, b)
 
 
 def _maybe_plan(b: np.ndarray, multiplier: Multiplier | None) -> GemmPlan | None:
@@ -135,20 +126,6 @@ def _needs_exact(error_model: PiecewiseLinearErrorModel | None) -> bool:
     needs it.
     """
     return error_model is not None and not error_model.is_constant and is_grad_enabled()
-
-
-def _bwd_cached(bwd: dict | None, key: str, make):
-    """Memoize a backward operand in the layer state's side table.
-
-    With ``bwd`` None (no plan cache attached, or plan caching disabled)
-    the operand is recomputed fresh — the reference behaviour.
-    """
-    if bwd is None:
-        return make()
-    value = bwd.get(key)
-    if value is None:
-        value = bwd[key] = make()
-    return value
 
 
 def _gradient_scale(
@@ -200,14 +177,12 @@ class QuantLinearFunction(Function):
         def _revalidate(old):
             # An optimizer step bumped the weight version; if the 4-bit
             # codes are unchanged (steps are, by key construction), the
-            # plan, backward layouts and exact-operand conversions all
-            # still describe the current weights exactly. Sparse code
-            # drift keeps the plan via an in-place repair; the code-value
-            # dependent side tables are dropped and lazily refilled.
+            # plan still describes the current weights exactly. Sparse
+            # code drift keeps the plan via an in-place repair.
             wq, w_mask = _quantize_weight()
             neq = wq != old.wq
             if not neq.any():
-                return LayerKernelState(old.wq, w_mask).adopt(old), True
+                return LayerKernelState(old.wq, w_mask, old.plan), True
             if old.plan is not None:
                 # wq is (N, K); the plan operand is wq.T, so swap the diff axes.
                 nz_r, nz_c = np.nonzero(neq)
@@ -219,23 +194,12 @@ class QuantLinearFunction(Function):
             state = plan_cache.get(
                 "linear", plan_key, multiplier, _build, revalidate=_revalidate
             )
-            reuse_state = plan_caching_enabled()
         else:
-            wq, w_mask = _quantize_weight()
-            state = LayerKernelState(wq, w_mask, None)
-            reuse_state = False
+            state = LayerKernelState(*_quantize_weight())
         wq = state.wq
         self.w_mask = state.w_mask
-        self._bwd = state.bwd if reuse_state else None
         need_exact = _needs_exact(error_model)
-        y_int, y_exact = _int_gemm(
-            xq,
-            wq.T,
-            multiplier,
-            need_exact,
-            plan=state.plan,
-            exact_cache=state.exact_ops if reuse_state else None,
-        )
+        y_int, y_exact = _int_gemm(xq, wq.T, multiplier, need_exact, plan=state.plan)
         self.xq, self.wq = xq, wq
         self.scale = _gradient_scale(error_model, y_exact)
         self.has_bias = bias is not None
@@ -247,11 +211,7 @@ class QuantLinearFunction(Function):
     def backward(self, grad_out):
         g = grad_out * self.scale
         x_fq = self.xq.astype(np.float32) * np.float32(self.act_step)
-        w_fq = _bwd_cached(
-            self._bwd,
-            "w_fq",
-            lambda: self.wq.astype(np.float32) * self.w_step_col[:, None],
-        )
+        w_fq = self.wq.astype(np.float32) * self.w_step_col[:, None]
         grad_x = float_matmul(g, w_fq) * self.x_mask
         grad_w = float_matmul(g.T, x_fq) * self.w_mask
         grad_b = grad_out.sum(axis=0) if self.has_bias else None
@@ -314,7 +274,7 @@ class QuantConv2dFunction(Function):
         def _state_from(wq, w_mask):
             if self.depthwise:
                 # Depthwise runs a LUT window sum, not a GEMM; cache only
-                # the weight quantization (and backward layouts).
+                # the weight quantization.
                 return LayerKernelState(wq, w_mask, None)
             if grouped:
                 ocg = oc // groups
@@ -341,7 +301,7 @@ class QuantConv2dFunction(Function):
             wq, w_mask = _quantize_weight()
             neq = wq != old.wq
             if not neq.any():
-                return LayerKernelState(old.wq, w_mask).adopt(old), True
+                return LayerKernelState(old.wq, w_mask, old.plan), True
             if not self.depthwise and old.plan is not None:
                 if grouped:
                     ocg = oc // groups
@@ -371,14 +331,11 @@ class QuantConv2dFunction(Function):
             state = plan_cache.get(
                 tag, plan_key, multiplier, _build, revalidate=_revalidate
             )
-            reuse_state = plan_caching_enabled()
         else:
             wq, w_mask = _quantize_weight()
             state = LayerKernelState(wq, w_mask, [None] * groups if grouped else None)
-            reuse_state = False
         wq = state.wq
         self.w_mask = state.w_mask
-        self._bwd = state.bwd if reuse_state else None
         plan_state = state.plan
         self.wq = wq
         need_exact = _needs_exact(error_model)
@@ -389,18 +346,15 @@ class QuantConv2dFunction(Function):
             # GEMM, the GE exact GEMM, or (lazily, from xq) the backward.
             self.xq, self.cols = xq, None
             w2d = wq.reshape(oc, -1).T
-            exact_cache = state.exact_ops if reuse_state else None
             if plan_state is not None:
                 y_int = plan_state.execute_conv(xq, (kh, kw), stride, padding)
                 y_exact = None
                 if need_exact:
                     self.cols, _ = im2col(xq, (kh, kw), stride, padding)
-                    y_exact = _exact_gemm(self.cols, w2d, exact_cache)
+                    y_exact = exact_int_matmul(self.cols, w2d)
             else:
                 self.cols, _ = im2col(xq, (kh, kw), stride, padding)
-                y_int, y_exact = _int_gemm(
-                    self.cols, w2d, multiplier, need_exact, exact_cache=exact_cache
-                )
+                y_int, y_exact = _int_gemm(self.cols, w2d, multiplier, need_exact)
             self.scale = _gradient_scale(error_model, y_exact)
             out = y_int.astype(np.float32) * rescale_col[None, :]
             out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
@@ -473,23 +427,14 @@ class QuantConv2dFunction(Function):
             if cols is None:
                 cols, _ = im2col(self.xq, (kh, kw), stride, padding)
             x_fq = cols.astype(np.float32) * sx
-            w_fq = _bwd_cached(
-                self._bwd,
-                "w_fq2",
-                lambda: self.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None],
-            )
+            w_fq = self.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None]
             grad_w = float_matmul(g2.T, x_fq).reshape(self.wq.shape)
             grad_cols = float_matmul(g2, w_fq)
             grad_x = col2im(grad_cols, self.x_shape, (kh, kw), stride, padding)
         elif self.depthwise:
             g4 = grad_out * self.scale  # (N, C, OH, OW)
             win_fq = self.windows.astype(np.float32) * sx
-            w_fq = _bwd_cached(
-                self._bwd,
-                "w_fq3",
-                lambda: self.wq.reshape(c, kh, kw).astype(np.float32)
-                * sw_col[:, None, None],
-            )
+            w_fq = self.wq.reshape(c, kh, kw).astype(np.float32) * sw_col[:, None, None]
             grad_w = np.einsum("nchw,nchwij->cij", g4, win_fq, optimize=True)
             grad_w = grad_w.reshape(self.wq.shape)
             grad_windows = np.einsum("nchw,cij->nchwij", g4, w_fq, optimize=True)
@@ -498,15 +443,6 @@ class QuantConv2dFunction(Function):
         else:
             ocg = oc // groups
             cg = c // groups
-            w_fq_groups = _bwd_cached(
-                self._bwd,
-                "w_fq_groups",
-                lambda: [
-                    self.wq[g * ocg : (g + 1) * ocg].reshape(ocg, -1).astype(np.float32)
-                    * sw_col[g * ocg : (g + 1) * ocg, None]
-                    for g in range(groups)
-                ],
-            )
             grad_w = np.empty(self.wq.shape, dtype=np.float32)
             grad_x_parts = []
             for g in range(groups):
@@ -517,7 +453,11 @@ class QuantConv2dFunction(Function):
                 grad_w[g * ocg : (g + 1) * ocg] = float_matmul(g2.T, x_fq).reshape(
                     ocg, cg, kh, kw
                 )
-                grad_cols = float_matmul(g2, w_fq_groups[g])
+                w_fq = (
+                    self.wq[g * ocg : (g + 1) * ocg].reshape(ocg, -1).astype(np.float32)
+                    * sw_col[g * ocg : (g + 1) * ocg, None]
+                )
+                grad_cols = float_matmul(g2, w_fq)
                 grad_x_parts.append(col2im(grad_cols, (n, cg, h, w), (kh, kw), stride, padding))
             grad_x = np.concatenate(grad_x_parts, axis=1)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import PlanCache
+from repro.approx.registry import as_multiplier
 from repro.autograd.im2col import im2col
 from repro.autograd.tensor import Tensor
 from repro.errors import QuantizationError
@@ -48,15 +49,14 @@ class _QuantGemmLayer(Module):
         # integer-code space.
         self.output_collector: list | None = None
         # Weight-stationary GEMM state (repro.approx.plan): quantized weight
-        # codes, STE mask, kernel plan and the training-path side tables
-        # (backward weight layouts, exact-GEMM operand conversions), reused
-        # across batches while the weights and steps are unchanged.
+        # codes, STE mask and kernel plan, reused across batches while the
+        # weights and steps are unchanged.
         # ``_step_version`` bumps whenever the step sizes are (re)derived;
         # the weight Parameter's own version counter covers every weight
         # rebind, so the cache key goes stale the moment either changes. A
         # version-only change (optimizer step) is revalidated at the code
-        # level: if the integer codes survived the step, the whole state is
-        # reused instead of rebuilt.
+        # level: if the integer codes survived the step the plan is reused,
+        # and a few flipped codes are repaired into it instead of rebuilt.
         self._plan_cache = PlanCache()
         self._step_version = 0
         self._act_observer = create_observer(
@@ -132,12 +132,13 @@ class _QuantGemmLayer(Module):
     # -- approximation ----------------------------------------------------
     def set_multiplier(
         self,
-        multiplier: Multiplier | None,
+        multiplier: Multiplier | str | None,
         error_model: PiecewiseLinearErrorModel | None = None,
     ) -> None:
-        """Attach an approximate multiplier (None restores exact integer
-        execution); ``error_model`` enables gradient estimation."""
-        self.multiplier = multiplier
+        """Attach an approximate multiplier, by object or registry name
+        (None restores exact integer execution); ``error_model`` enables
+        gradient estimation. Anything else raises :class:`MultiplierError`."""
+        self.multiplier = None if multiplier is None else as_multiplier(multiplier)
         self.error_model = error_model
         # Plans embed the multiplier's LUT; drop them on a switch so the
         # cache never outlives the multiplier it was built for.

@@ -20,6 +20,7 @@ from repro.approx.registry import as_multiplier
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.tensor import Tensor
 from repro.data.dataloader import iterate_batches
+from repro.errors import ConfigError
 from repro.ge.error_model import PiecewiseLinearErrorModel
 from repro.ge.estimator import estimate_error_model
 from repro.nn.module import Module
@@ -43,20 +44,20 @@ def attach_multiplier(
 
     ``error_model`` may be a fitted :class:`PiecewiseLinearErrorModel`, the
     string ``"auto"`` (profile the multiplier by Monte-Carlo simulation, as
-    the paper does), or None (plain STE backward).
+    the paper does), or None (plain STE backward). A model without
+    quantized layers raises :class:`~repro.errors.ConfigError`.
     """
     mult = resolve_multiplier(multiplier)
+    layers = list(quant_layers(model))
+    if not layers:
+        raise ConfigError("attach_multiplier: model has no quantized layers")
     if error_model == "auto":
         if mult is None or mult.is_exact:
             error_model = None
         else:
             error_model = estimate_error_model(mult, rng=rng)
-    count = 0
-    for layer in quant_layers(model):
+    for layer in layers:
         layer.set_multiplier(mult, error_model)
-        count += 1
-    if count == 0:
-        raise ValueError("attach_multiplier: model has no quantized layers")
     return mult
 
 

@@ -9,7 +9,6 @@ from repro.obs import trace as tr
 from repro.parallel import (
     BACKENDS,
     ParallelConfig,
-    chunked,
     effective_workers,
     fork_available,
     get_default_config,
@@ -150,13 +149,3 @@ class TestWorkerCapture:
         out = map_workers(_emit_and_time, range(3), config)
         assert out == [0, 1, 2]
         assert [r for r in events.records if r["type"] == "eval"] == []
-
-
-class TestChunked:
-    def test_partitions_preserve_order(self):
-        assert chunked(list(range(10)), 3) == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        assert sum(chunked(list(range(17)), 4), []) == list(range(17))
-
-    def test_no_empty_chunks(self):
-        assert chunked([1, 2], 8) == [[1], [2]]
-        assert chunked([], 4) == []

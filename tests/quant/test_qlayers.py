@@ -6,7 +6,7 @@ import pytest
 
 from repro.approx import get_multiplier
 from repro.autograd import Tensor, conv2d, linear
-from repro.errors import QuantizationError
+from repro.errors import MultiplierError, QuantizationError
 from repro.ge import PiecewiseLinearErrorModel
 from repro.quant import QConfig, QuantConv2d, QuantLinear, fake_quantize_np
 
@@ -148,6 +148,19 @@ class TestApproximatePath:
         qconv.set_multiplier(get_multiplier("truncated5"))
         qconv.set_multiplier(None)
         np.testing.assert_allclose(qconv(x).data, ref)
+
+    def test_set_multiplier_by_name(self, qconv, rng):
+        x = _x(rng, (1, 3, 8, 8))
+        qconv.set_multiplier(get_multiplier("truncated5"))
+        ref = qconv(x).data
+        qconv.set_multiplier("truncated5")
+        assert qconv.multiplier is get_multiplier("truncated5")
+        np.testing.assert_array_equal(qconv(x).data, ref)
+
+    @pytest.mark.parametrize("bad", [5, 2.5, object()])
+    def test_set_multiplier_rejects_non_multiplier(self, qconv, bad):
+        with pytest.raises(MultiplierError):
+            qconv.set_multiplier(bad)
 
 
 class TestGradients:

@@ -1,11 +1,11 @@
 """Training-path plan caching: N-step bitwise equivalence and revalidation.
 
 The training loop reuses weight-derived kernel state across optimizer
-steps — plan revalidation/repair, cached backward weight layouts,
-memoized exact-GEMM operands and shape-keyed im2col plans. All of it is
-an *optimization only*: training with the full cached path and under
-``plan_cache_disabled()`` (the uncached reference) must produce
-bitwise-identical weights and logits at every step.
+steps: a plan is kept when the weight codes did not change and repaired
+in place when a few did. Both are an *optimization only*: training with
+the cached path and under ``plan_cache_disabled()`` (the uncached
+reference) must produce bitwise-identical weights and logits at every
+step.
 """
 
 import copy
@@ -15,7 +15,6 @@ import numpy as np
 from repro.approx import build_plan, get_multiplier, plan_cache_disabled
 from repro.approx.plan import conv_plan_operand
 from repro.autograd import Tensor
-from repro.autograd.im2col import clear_col_plans
 from repro.ge import PiecewiseLinearErrorModel
 from repro.quant import QuantConv2d, QuantLinear
 from repro.train import SGD
@@ -52,7 +51,6 @@ def _build_conv():
 
 def _train(build, xs, gs, lr=0.05, mutate=None):
     """Train fresh layers on fixed batches; returns per-step weight/logit history."""
-    clear_col_plans()
     layers = build()
     opt = SGD([p for layer in layers for p in layer.parameters()], lr=lr)
     history = []
@@ -223,13 +221,12 @@ class TestRevalidation:
         np.testing.assert_array_equal(out.creator.scale, ref_out.creator.scale)
 
     def test_plan_cache_disabled_keeps_no_training_state(self, rng, profiled):
-        # The reference path builds no ColPlan, revalidates or repairs no
-        # plan and caches no backward operand. The cached path does all of
-        # it on the same run: the large lr flips codes, so plans get repaired.
+        # The reference path stores, revalidates and repairs no plan. The
+        # cached path does all three on the same batches: the large lr flips
+        # codes, so plans get repaired.
         xs, gs = _batches(rng, 3, (2, 3, 8, 8), (2, 6, 4, 4), g_scale=1.0)
 
         def run():
-            clear_col_plans()
             layers = _build_conv()
             opt = SGD([p for layer in layers for p in layer.parameters()], lr=0.5)
             with profiled() as rows:
@@ -240,19 +237,17 @@ class TestRevalidation:
                         h = layer(h)
                     h.backward(gb)
                     opt.step()
-            return rows, [len(layer._plan_cache) for layer in layers], h.creator._bwd
+            return rows, [len(layer._plan_cache) for layer in layers]
 
         with plan_cache_disabled():
-            rows, stored, bwd = run()
-        assert "autograd.col_plan_built" not in rows
+            rows, stored = run()
         assert "plan_cache.repair" not in rows
         assert "plan_cache.revalidate" not in rows
         assert rows["plan_cache.bypass"]["calls"] == 2 * len(xs)
-        assert bwd is None
         assert stored == [0, 0]
 
-        rows, stored, bwd = run()
-        assert rows["autograd.col_plan_built"]["calls"] >= 1
+        rows, stored = run()
         assert rows["plan_cache.repair"]["calls"] >= 1
-        assert "w_fq2" in bwd
+        assert rows["plan_cache.revalidate"]["calls"] >= 1
+        assert "plan_cache.bypass" not in rows
         assert stored == [1, 1]

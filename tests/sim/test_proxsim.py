@@ -1,10 +1,10 @@
 """ProxSim-style multiplier attachment and evaluation."""
 
-import numpy as np
 import pytest
 
 from repro.approx import get_multiplier
 from repro.distill import clone_model
+from repro.errors import ConfigError
 from repro.models import simplecnn
 from repro.quant import quant_layers
 from repro.sim import (
@@ -58,7 +58,7 @@ class TestAttachDetach:
         assert before == after
 
     def test_attach_requires_quantized_model(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             attach_multiplier(simplecnn(base_width=4, rng=0), "truncated3")
 
 
