@@ -25,7 +25,6 @@ from repro.approx.evoapprox import (
 from repro.approx.backend import default_backend, tiered_exact_int_matmul
 from repro.approx.gemm import (
     approx_matmul,
-    approx_matmul_with_exact,
     exact_int_matmul,
     exact_int_matmul_cached,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "EVOAPPROX_SPECS",
     "synthesize_evoapprox_lut",
     "approx_matmul",
-    "approx_matmul_with_exact",
     "exact_int_matmul",
     "exact_int_matmul_cached",
     "tiered_exact_int_matmul",

@@ -178,16 +178,3 @@ def _reference_matmul(
         big_g = np.concatenate(gathered, axis=1)
         big_h = np.concatenate(masks, axis=0)
         return np.rint(big_g @ big_h).astype(np.int64)
-
-
-def approx_matmul_with_exact(
-    a: np.ndarray, b: np.ndarray, multiplier: Multiplier
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(ỹ, y)`` — approximate and exact GEMM on the same operands.
-
-    Used by gradient estimation, which needs the exact output ``y`` to decide
-    which entries fall in the linear region of the fitted error function.
-    """
-    exact = exact_int_matmul(a, b)
-    approx = approx_matmul(a, b, multiplier)
-    return approx, exact

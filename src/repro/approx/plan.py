@@ -106,15 +106,16 @@ def check_magnitude(codes: np.ndarray, bound: int, name: str, operand: str) -> N
 class LayerKernelState:
     """Cached weight-derived kernel state for one quantized-layer tag.
 
-    Holds the quantized weight codes, the clipped-STE mask and the
-    forward plan (``None`` on the exact path, a list for grouped
-    convolutions). Revalidation keeps the plan across an optimizer step
-    when the integer codes are unchanged or the plan can be repaired.
+    Holds the quantized weight codes, the clipped-STE mask and the one
+    forward plan of the layer's dense-conv GEMM (``None`` on the exact
+    path, the reference path and depthwise layers). Revalidation keeps
+    the plan across an optimizer step when the integer codes are
+    unchanged or the plan can be repaired.
     """
 
     __slots__ = ("wq", "w_mask", "plan")
 
-    def __init__(self, wq: np.ndarray, w_mask: np.ndarray, plan: Any = None):
+    def __init__(self, wq: np.ndarray, w_mask: np.ndarray, plan: GemmPlan | None = None):
         self.wq = wq
         self.w_mask = w_mask
         self.plan = plan
@@ -407,8 +408,9 @@ def repair_plan(
 class PlanCache:
     """Per-layer memo of weight-stationary GEMM state.
 
-    One entry per ``tag`` (a layer keeps separate tags for e.g. grouped
-    convolution paths). An entry is valid only while both its ``key`` —
+    One entry per ``tag`` (``"conv"`` for every dense-conv kernel,
+    ``"depthwise"`` for depthwise layers). An entry is valid only while
+    both its ``key`` —
     the layer's weight-version tuple — and the attached multiplier object
     are unchanged; a weight update bumps the version
     (:class:`repro.nn.parameter.Parameter`), so reusing a stale plan is

@@ -24,7 +24,13 @@ from repro.obs import trace as tr
 
 
 def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    """Output spatial size of a convolution along one axis."""
+    """Output spatial size of a convolution along one axis.
+
+    Every unfolding helper sizes its windows here, so this is where a
+    stride below 1 or a negative padding is rejected.
+    """
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"conv needs stride >= 1 and padding >= 0, got {stride}, {padding}")
     out = (size + 2 * padding - kernel) // stride + 1
     if out <= 0:
         raise ShapeError(
@@ -32,6 +38,50 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"stride={stride}, padding={padding}"
         )
     return out
+
+
+def check_groups(in_channels: int, out_channels: int, groups: int) -> None:
+    """Reject a group count that is below 1 or does not divide both channel counts."""
+    if groups < 1 or in_channels % groups or out_channels % groups:
+        raise ShapeError(
+            f"groups={groups} must be >= 1 and divide in_channels={in_channels} "
+            f"and out_channels={out_channels}"
+        )
+
+
+def check_conv_operands(x: np.ndarray, weight: np.ndarray, groups: int) -> None:
+    """Reject conv operands that are not 4-D or whose channels do not fit ``groups``."""
+    if x.ndim != 4 or weight.ndim != 4:
+        raise ShapeError(f"conv expects 4-D input and weight, got {x.shape}, {weight.shape}")
+    c, cg = x.shape[1], weight.shape[1]
+    check_groups(c, weight.shape[0], groups)
+    if cg != c // groups:
+        raise ShapeError(
+            f"weight expects {cg} input channels per group, input provides {c // groups}"
+        )
+
+
+def block_diagonal(weight: np.ndarray, groups: int) -> np.ndarray:
+    """Grouped conv weights ``(OC, C/groups, KH, KW)`` as dense ``(OC, C, KH, KW)``.
+
+    Group ``g``'s filters fill the ``g``-th diagonal block; every other
+    entry is zero, so a dense convolution with the result equals the
+    grouped one.
+    """
+    oc, cg, kh, kw = weight.shape
+    ocg, ar = oc // groups, np.arange(groups)
+    dense = np.zeros((groups, ocg, groups, cg, kh, kw), dtype=weight.dtype)
+    dense[ar, :, ar] = weight.reshape(groups, ocg, cg, kh, kw)
+    return dense.reshape(oc, groups * cg, kh, kw)
+
+
+def diagonal_blocks(dense: np.ndarray, groups: int) -> np.ndarray:
+    """The grouped ``(OC, C/groups, KH, KW)`` part of dense weights (adjoint of
+    :func:`block_diagonal`)."""
+    oc, c, kh, kw = dense.shape
+    ar = np.arange(groups)
+    blocks = dense.reshape(groups, oc // groups, groups, c // groups, kh, kw)[ar, :, ar]
+    return blocks.reshape(oc, c // groups, kh, kw)
 
 
 def im2col(

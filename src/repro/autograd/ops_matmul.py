@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.function import Function
-from repro.autograd.im2col import col2im, conv_out_size, im2col, sliding_windows
+from repro.autograd.im2col import (
+    block_diagonal,
+    check_conv_operands,
+    col2im,
+    conv_out_size,
+    diagonal_blocks,
+    im2col,
+    sliding_windows,
+)
 from repro.autograd.tensor import Tensor, as_tensor
-from repro.errors import ShapeError
 
 _backend_module = None  # lazily bound so autograd has no import-time approx dep
 
@@ -59,20 +66,19 @@ class Conv2dOp(Function):
     """Float convolution computed as an im2col GEMM.
 
     ``weight`` has shape ``(out_channels, in_channels/groups, kh, kw)``.
-    Grouped convolutions are supported; depthwise (groups == in_channels)
-    takes a fully vectorised windowed path.
+    Depthwise (groups == in_channels) takes a fully vectorised windowed
+    path; any other grouped convolution runs as the dense one of its
+    block-diagonal weights (:func:`~repro.autograd.im2col.block_diagonal`).
     """
 
     def forward(self, x, weight, bias, stride: int = 1, padding: int = 0, groups: int = 1):
         x, weight = np.asarray(x), np.asarray(weight)
+        check_conv_operands(x, weight, groups)
         n, c, h, w = x.shape
         oc, cg, kh, kw = weight.shape
-        if c % groups or oc % groups:
-            raise ShapeError(f"channels ({c} in, {oc} out) not divisible by groups={groups}")
-        if cg != c // groups:
-            raise ShapeError(
-                f"weight expects {cg} input channels per group, input provides {c // groups}"
-            )
+        self.depthwise = groups != 1 and groups == c and cg == 1
+        if groups != 1 and not self.depthwise:
+            weight = block_diagonal(weight, groups)
         self.x_shape = x.shape
         self.weight = weight
         self.stride, self.padding, self.groups = stride, padding, groups
@@ -80,12 +86,7 @@ class Conv2dOp(Function):
         oh = conv_out_size(h, kh, stride, padding)
         ow = conv_out_size(w, kw, stride, padding)
 
-        if groups == 1:
-            cols, _ = im2col(x, (kh, kw), stride, padding)  # (N*OH*OW, C*KH*KW)
-            self.cols = cols
-            out = _float_matmul(cols, weight.reshape(oc, -1).T)  # (N*OH*OW, OC)
-            out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
-        elif groups == c and cg == 1:
+        if self.depthwise:
             # Depthwise fast path: one filter (per output-channel multiplier m)
             # slides over its own input channel.
             m = oc // c
@@ -96,17 +97,10 @@ class Conv2dOp(Function):
             out = np.einsum("nchwij,cmij->ncmhw", windows, wdw, optimize=True)
             out = out.reshape(n, oc, oh, ow)
         else:
-            self.group_cols = []
-            outs = []
-            ocg = oc // groups
-            for g in range(groups):
-                xg = x[:, g * cg : (g + 1) * cg]
-                wg = weight[g * ocg : (g + 1) * ocg]
-                cols, _ = im2col(xg, (kh, kw), stride, padding)
-                self.group_cols.append(cols)
-                og = _float_matmul(cols, wg.reshape(ocg, -1).T)
-                outs.append(og.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2))
-            out = np.concatenate(outs, axis=1)
+            cols, _ = im2col(x, (kh, kw), stride, padding)  # (N*OH*OW, C*KH*KW)
+            self.cols = cols
+            out = _float_matmul(cols, weight.reshape(oc, -1).T)  # (N*OH*OW, OC)
+            out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
 
         if self.has_bias:
             out = out + np.asarray(bias).reshape(1, oc, 1, 1)
@@ -115,17 +109,12 @@ class Conv2dOp(Function):
 
     def backward(self, grad_out):
         n, c, h, w = self.x_shape
-        oc, cg, kh, kw = self.weight.shape
+        oc, _, kh, kw = self.weight.shape
         stride, padding, groups = self.stride, self.padding, self.groups
         oh, ow = self.out_spatial
         grad_b = grad_out.sum(axis=(0, 2, 3)) if self.has_bias else None
 
-        if groups == 1:
-            g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
-            grad_w = _float_matmul(g2.T, self.cols).reshape(oc, cg, kh, kw)
-            grad_cols = _float_matmul(g2, self.weight.reshape(oc, -1))
-            grad_x = col2im(grad_cols, self.x_shape, (kh, kw), stride, padding)
-        elif groups == c and cg == 1:
+        if self.depthwise:
             m = oc // c
             g5 = grad_out.reshape(n, c, m, oh, ow)
             grad_w = np.einsum("ncmhw,nchwij->cmij", g5, self.windows, optimize=True)
@@ -136,23 +125,12 @@ class Conv2dOp(Function):
             cols = grad_windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
             grad_x = col2im(cols, self.x_shape, (kh, kw), stride, padding)
         else:
-            ocg = oc // groups
-            grad_w = np.empty_like(self.weight)
-            grad_x_parts = []
-            for g in range(groups):
-                gg = grad_out[:, g * ocg : (g + 1) * ocg]
-                g2 = gg.transpose(0, 2, 3, 1).reshape(n * oh * ow, ocg)
-                cols = self.group_cols[g]
-                grad_w[g * ocg : (g + 1) * ocg] = _float_matmul(g2.T, cols).reshape(
-                    ocg, cg, kh, kw
-                )
-                grad_cols = _float_matmul(
-                    g2, self.weight[g * ocg : (g + 1) * ocg].reshape(ocg, -1)
-                )
-                grad_x_parts.append(
-                    col2im(grad_cols, (n, cg, h, w), (kh, kw), stride, padding)
-                )
-            grad_x = np.concatenate(grad_x_parts, axis=1)
+            g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
+            grad_w = _float_matmul(g2.T, self.cols).reshape(self.weight.shape)
+            if groups != 1:
+                grad_w = diagonal_blocks(grad_w, groups)
+            grad_cols = _float_matmul(g2, self.weight.reshape(oc, -1))
+            grad_x = col2im(grad_cols, self.x_shape, (kh, kw), stride, padding)
 
         return grad_x, grad_w, grad_b, None, None, None
 

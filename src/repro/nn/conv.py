@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.autograd import ops_matmul
+from repro.autograd.im2col import check_groups
 from repro.autograd.tensor import Tensor
-from repro.errors import ShapeError
 from repro.nn import init
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -29,11 +29,7 @@ class Conv2d(Module):
         rng=None,
     ):
         super().__init__()
-        if in_channels % groups or out_channels % groups:
-            raise ShapeError(
-                f"groups={groups} must divide in_channels={in_channels} and "
-                f"out_channels={out_channels}"
-            )
+        check_groups(in_channels, out_channels, groups)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size

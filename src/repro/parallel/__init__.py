@@ -4,7 +4,6 @@ See ``docs/PERFORMANCE.md``. Entry points:
 
 - :class:`ParallelConfig` / :func:`map_workers` — the executor layer used
   by ``run_sweep(workers=...)`` (the CLI's ``sweep --workers``);
-- :func:`set_default_config` — process-wide worker default;
 - :func:`fork_available` / :func:`resolve_backend` — platform probing.
 """
 
@@ -13,14 +12,11 @@ from repro.parallel.executor import (
     ParallelConfig,
     amortized_workers,
     cpu_parallelism,
-    effective_workers,
     force_parallel,
     fork_available,
-    get_default_config,
     map_workers,
     persistent_executor,
     resolve_backend,
-    set_default_config,
 )
 
 __all__ = [
@@ -28,12 +24,9 @@ __all__ = [
     "ParallelConfig",
     "amortized_workers",
     "cpu_parallelism",
-    "effective_workers",
     "force_parallel",
     "fork_available",
-    "get_default_config",
     "map_workers",
     "persistent_executor",
     "resolve_backend",
-    "set_default_config",
 ]

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 from concurrent.futures import FIRST_EXCEPTION, Executor, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro import config
@@ -71,10 +70,6 @@ class ParallelConfig:
                 f"unknown parallel backend {self.backend!r}; choose from {BACKENDS}"
             )
 
-    def with_workers(self, workers: int | None) -> "ParallelConfig":
-        """This config with ``workers`` overridden (``None`` keeps it)."""
-        return self if workers is None else replace(self, workers=workers)
-
 
 def fork_available() -> bool:
     """True when the ``fork`` start method exists (POSIX)."""
@@ -91,12 +86,6 @@ def resolve_backend(config: ParallelConfig) -> str:
     # pickle fine, but spawn would re-import numpy per worker and lose any
     # monkeypatched state callers rely on.
     return "process" if fork_available() else "thread"
-
-
-def effective_workers(workers: int | None = None) -> int:
-    """Worker count after applying the process-wide default config."""
-    config = get_default_config().with_workers(workers)
-    return 1 if resolve_backend(config) == "serial" else config.workers
 
 
 def cpu_parallelism() -> int:
@@ -128,7 +117,7 @@ def amortized_workers(workers: int | None, tasks: int) -> int:
     ``REPRO_FORCE_PARALLEL=1`` bypasses the guard so the concurrency
     test-suite can exercise real pools on single-core CI runners.
     """
-    requested = effective_workers(workers)
+    requested = 1 if workers is None else workers
     if requested <= 1:
         return 1
     if force_parallel():
@@ -136,26 +125,6 @@ def amortized_workers(workers: int | None, tasks: int) -> int:
     if tasks < 2 or cpu_parallelism() < 2:
         return 1
     return requested
-
-
-# ----------------------------------------------------------------------
-# process-wide default (set by the CLI's --workers flag)
-# ----------------------------------------------------------------------
-_default_config = ParallelConfig()
-_default_lock = threading.Lock()
-
-
-def get_default_config() -> ParallelConfig:
-    """The process-wide default :class:`ParallelConfig` (workers=1)."""
-    return _default_config
-
-
-def set_default_config(config: ParallelConfig) -> ParallelConfig:
-    """Replace the default config; returns the previous one."""
-    global _default_config
-    with _default_lock:
-        previous, _default_config = _default_config, config
-    return previous
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +239,7 @@ def map_workers(
     relative times are worker-local and not comparable), and worker spans
     and metrics are folded into the parent recorder and registry.
     """
-    config = get_default_config() if config is None else config
+    config = ParallelConfig() if config is None else config
     items = list(items)
     rngs = spawn_rngs(rng, len(items)) if rng is not None else None
 

@@ -39,8 +39,8 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as met
 from repro.obs import trace as tr
 from repro.parallel import (
+    ParallelConfig,
     amortized_workers,
-    get_default_config,
     map_workers,
     resolve_backend,
 )
@@ -328,16 +328,16 @@ def run_sweep(
     *or* recorded as failed), so a killed sweep restarts from the
     interrupted cell.
 
-    ``workers > 1`` executes the cells on a worker pool (``None`` uses the
-    process-wide :mod:`repro.parallel` default). Each cell is seeded
-    independently of schedule, and points are assembled in grid order, so
-    the result is point-for-point identical to the serial sweep.
+    ``workers > 1`` executes the cells on a worker pool (``None`` runs
+    them serially). Each cell is seeded independently of schedule, and
+    points are assembled in grid order, so the result is point-for-point
+    identical to the serial sweep.
     """
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     train_config = train_config or TrainConfig()
-    parallel_config = get_default_config().with_workers(workers)
+    parallel_config = ParallelConfig(workers=1 if workers is None else workers)
     log = obs_events.get_event_log()
     if prefilter is not None:
         from repro.ge.zoo import prefilter_multipliers

@@ -5,6 +5,11 @@ quantize activations and weights to symmetric integer codes, run the GEMM on
 integer codes — exactly, or through an approximate multiplier LUT — then
 rescale by the product of step sizes and add the float bias.
 
+Both Functions run one conv kernel (:func:`_conv_forward`): a linear layer
+is a 1×1 convolution, and a grouped one is the dense convolution of its
+block-diagonal weights, whose zero codes add exactly 0 to every integer
+sum. Only depthwise convolutions keep their own LUT window sum.
+
 The backward pass implements:
 
 - the **STE** of Eq. 5: gradients flow as if the GEMM were exact, through
@@ -52,7 +57,15 @@ from repro.approx.plan import (
 )
 from repro.autograd.function import Function
 from repro.autograd.grad_mode import is_grad_enabled
-from repro.autograd.im2col import col2im, conv_out_size, im2col, sliding_windows
+from repro.autograd.im2col import (
+    block_diagonal,
+    check_conv_operands,
+    col2im,
+    conv_out_size,
+    diagonal_blocks,
+    im2col,
+    sliding_windows,
+)
 from repro.errors import QuantizationError, ShapeError
 from repro.ge.error_model import PiecewiseLinearErrorModel
 from repro.quant.quantizer import qrange
@@ -81,29 +94,6 @@ def _weight_step_per_channel(w_step, out_channels: int) -> np.ndarray:
             f"per-channel weight step has shape {step.shape}, expected ({out_channels},)"
         )
     return step
-
-
-def _int_gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    multiplier: Multiplier | None,
-    need_exact: bool,
-    plan: GemmPlan | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Integer GEMM, approximate when a non-exact multiplier is given.
-
-    Returns ``(y_int, y_exact)`` where ``y_exact`` is only materialised when
-    ``need_exact`` (for GE region tests) and differs from ``y_int``. ``plan``
-    is an optional weight-stationary plan built from this exact ``b``; the
-    result is bitwise identical with or without it.
-    """
-
-    if multiplier is None or multiplier.is_exact:
-        y = exact_int_matmul(a, b)
-        return y, (y if need_exact else None)
-    y = approx_matmul(a, b, multiplier, plan=plan)
-    y_exact = exact_int_matmul(a, b) if need_exact else None
-    return y, y_exact
 
 
 def _maybe_plan(b: np.ndarray, multiplier: Multiplier | None) -> GemmPlan | None:
@@ -138,8 +128,206 @@ def _gradient_scale(
     return error_model.gradient_scale(y_exact).astype(np.float32)
 
 
+def _weight_state(
+    weight: np.ndarray,
+    w_step_col: np.ndarray,
+    w_bits: int,
+    multiplier: Multiplier | None,
+    depthwise: bool,
+    plan_cache,
+    plan_key,
+) -> LayerKernelState:
+    """The weight codes, their clipped-STE mask and the forward plan.
+
+    Served from ``plan_cache`` when the layer has one. This holds the one
+    revalidate/repair hook of every quantized layer. Depthwise layers run
+    a LUT window sum, not a GEMM, so they cache only the codes.
+    """
+
+    def quantize():
+        return _quantize_codes(weight, w_step_col[:, None, None, None], w_bits)
+
+    def state_from(wq, w_mask):
+        if depthwise:
+            return LayerKernelState(wq, w_mask)
+        plan = _maybe_plan(np.ascontiguousarray(conv_plan_operand(wq)), multiplier)
+        return LayerKernelState(wq, w_mask, plan)
+
+    def revalidate(old):
+        # An optimizer step bumped the weight version; if the 4-bit codes
+        # are unchanged (steps are, by key construction), the plan still
+        # describes the current weights exactly. Sparse code drift keeps
+        # the plan via an in-place repair, diffed in the plan's (kh, kw, c)
+        # row layout.
+        wq, w_mask = quantize()
+        neq = wq != old.wq
+        if not neq.any():
+            return LayerKernelState(old.wq, w_mask, old.plan), True
+        if old.plan is not None and repair_plan(
+            old.plan,
+            conv_plan_operand(old.wq),
+            conv_plan_operand(wq),
+            changed=np.nonzero(conv_plan_operand(neq)),
+        ):
+            return LayerKernelState(wq, w_mask, old.plan), True
+        return state_from(wq, w_mask), False
+
+    if plan_cache is None:
+        return LayerKernelState(*quantize())
+    tag = "depthwise" if depthwise else "conv"
+    return plan_cache.get(
+        tag, plan_key, multiplier, lambda: state_from(*quantize()), revalidate=revalidate
+    )
+
+
+def _conv_forward(
+    fn: Function,
+    x,
+    weight,
+    bias,
+    stride: int,
+    padding: int,
+    groups: int,
+    act_step: float,
+    w_step,
+    act_bits: int,
+    w_bits: int,
+    multiplier: Multiplier | None,
+    error_model: PiecewiseLinearErrorModel | None,
+    plan_cache,
+    plan_key,
+) -> np.ndarray:
+    """The quantized convolution of NCHW ``x``; state for the backward goes on ``fn``."""
+    x = np.asarray(x)
+    weight = np.asarray(weight)
+    check_conv_operands(x, weight, groups)
+    n, c, h, w = x.shape
+    oc, cg, kh, kw = weight.shape
+    # Depthwise keeps its own path; any other grouped conv runs dense on
+    # block-diagonal weights, and the backward reads the blocks back.
+    fn.depthwise = groups != 1 and groups == c and cg == 1 and oc == c
+    fn.groups = 1 if fn.depthwise else groups
+    if fn.groups != 1:
+        weight = block_diagonal(weight, groups)
+    fn.x_shape = x.shape
+    fn.stride, fn.padding = stride, padding
+    fn.act_step = float(act_step)
+    fn.has_bias = bias is not None
+    oh = conv_out_size(h, kh, stride, padding)
+    ow = conv_out_size(w, kw, stride, padding)
+    fn.out_spatial = (oh, ow)
+    fn.kernel = (kh, kw)
+
+    xq, fn.x_mask = _quantize_codes(x, act_step, act_bits)
+    fn.w_step_col = _weight_step_per_channel(w_step, oc)
+    state = _weight_state(
+        weight, fn.w_step_col, w_bits, multiplier, fn.depthwise, plan_cache, plan_key
+    )
+    wq = fn.wq = state.wq
+    fn.w_mask = state.w_mask
+    exact = multiplier is None or multiplier.is_exact
+    need_exact = _needs_exact(error_model)
+    rescale_col = np.float32(fn.act_step) * fn.w_step_col  # (OC,)
+
+    if fn.depthwise:
+        windows = sliding_windows(xq, (kh, kw), stride, padding)
+        fn.windows = windows
+        w4 = wq.reshape(c, kh, kw)
+
+        def _exact_depthwise():
+            # Products are < 2^10 and the window sum has <= kh*kw terms,
+            # so float32 accumulation is exact here.
+            acc = np.einsum(
+                "nchwij,cij->nchw",
+                windows.astype(np.float32),
+                w4.astype(np.float32),
+                optimize=True,
+            )
+            return np.rint(acc).astype(np.int64)
+
+        if exact:
+            y_int = _exact_depthwise()
+            y_exact = y_int if need_exact else None
+        else:
+            xhi = 2 ** (act_bits - 1) - 1
+            whi = 2 ** (w_bits - 1) - 1
+            slut = multiplier.signed_lut()
+            prods = slut[windows + xhi, w4[None, :, None, None] + whi]
+            y_int = prods.sum(axis=(4, 5), dtype=np.int64)
+            y_exact = _exact_depthwise() if need_exact else None
+        fn.scale = _gradient_scale(error_model, y_exact)
+        out = y_int.astype(np.float32) * rescale_col[None, :, None, None]
+    else:
+        # The im2col columns are built only for a reader: the reference
+        # GEMM, the GE exact GEMM, or (lazily, from xq) the backward.
+        fn.xq, fn.cols = xq, None
+        w2d = wq.reshape(oc, -1).T
+        if state.plan is not None:
+            y_int = state.plan.execute_conv(xq, (kh, kw), stride, padding)
+        else:
+            fn.cols, _ = im2col(xq, (kh, kw), stride, padding)
+            if exact:
+                y_int = exact_int_matmul(fn.cols, w2d)
+            else:
+                y_int = approx_matmul(fn.cols, w2d, multiplier)
+        y_exact = None
+        if need_exact and exact:
+            y_exact = y_int
+        elif need_exact:
+            if fn.cols is None:
+                fn.cols, _ = im2col(xq, (kh, kw), stride, padding)
+            y_exact = exact_int_matmul(fn.cols, w2d)
+        fn.scale = _gradient_scale(error_model, y_exact)
+        out = y_int.astype(np.float32) * rescale_col[None, :]
+        out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
+
+    if fn.has_bias:
+        out = out + np.asarray(bias).reshape(1, oc, 1, 1)
+    return np.ascontiguousarray(out)
+
+
+def _conv_backward(fn: Function, grad_out: np.ndarray) -> tuple:
+    """``(grad_x, grad_w, grad_b)`` of :func:`_conv_forward`: the STE of Eq. 5,
+    scaled by ``(1 + K)`` under gradient estimation."""
+    n, c, h, w = fn.x_shape
+    kh, kw = fn.kernel
+    oh, ow = fn.out_spatial
+    stride, padding = fn.stride, fn.padding
+    oc = fn.wq.shape[0]
+    sx = np.float32(fn.act_step)
+    sw_col = fn.w_step_col  # (OC,)
+    grad_b = grad_out.sum(axis=(0, 2, 3)) if fn.has_bias else None
+
+    if fn.depthwise:
+        g4 = grad_out * fn.scale  # (N, C, OH, OW)
+        win_fq = fn.windows.astype(np.float32) * sx
+        w_fq = fn.wq.reshape(c, kh, kw).astype(np.float32) * sw_col[:, None, None]
+        grad_w = np.einsum("nchw,nchwij->cij", g4, win_fq, optimize=True)
+        grad_w = grad_w.reshape(fn.wq.shape)
+        grad_windows = np.einsum("nchw,cij->nchwij", g4, w_fq, optimize=True)
+        cols = grad_windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+        grad_x = col2im(cols, fn.x_shape, (kh, kw), stride, padding)
+    else:
+        g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
+        g2 = g2 * fn.scale
+        cols = fn.cols
+        if cols is None:
+            cols, _ = im2col(fn.xq, (kh, kw), stride, padding)
+        x_fq = cols.astype(np.float32) * sx
+        w_fq = fn.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None]
+        grad_w = float_matmul(g2.T, x_fq).reshape(fn.wq.shape)
+        grad_cols = float_matmul(g2, w_fq)
+        grad_x = col2im(grad_cols, fn.x_shape, (kh, kw), stride, padding)
+
+    grad_x = grad_x * fn.x_mask
+    grad_w = grad_w * fn.w_mask
+    if fn.groups != 1:
+        grad_w = diagonal_blocks(grad_w, fn.groups)
+    return grad_x, grad_w, grad_b
+
+
 class QuantLinearFunction(Function):
-    """Quantized / approximate fully connected layer as one graph node."""
+    """Quantized / approximate fully connected layer: a 1×1 convolution."""
 
     def forward(
         self,
@@ -157,75 +345,33 @@ class QuantLinearFunction(Function):
     ):
         x = np.asarray(x)
         weight = np.asarray(weight)
-        if x.ndim != 2:
-            raise ShapeError(f"QuantLinear expects (batch, features), got {x.shape}")
-        self.act_step = float(act_step)
-        self.w_step_col = _weight_step_per_channel(w_step, weight.shape[0])
-        xq, self.x_mask = _quantize_codes(x, act_step, act_bits)
-
-        def _quantize_weight():
-            return _quantize_codes(weight, self.w_step_col[:, None], w_bits)
-
-        def _state_from(wq, w_mask):
-            return LayerKernelState(
-                wq, w_mask, _maybe_plan(np.ascontiguousarray(wq.T), multiplier)
+        if x.ndim != 2 or weight.ndim != 2 or weight.shape[1] != x.shape[1]:
+            raise ShapeError(
+                f"QuantLinear expects (batch, features) input and (out, features) "
+                f"weight, got {x.shape}, {weight.shape}"
             )
-
-        def _build():
-            return _state_from(*_quantize_weight())
-
-        def _revalidate(old):
-            # An optimizer step bumped the weight version; if the 4-bit
-            # codes are unchanged (steps are, by key construction), the
-            # plan still describes the current weights exactly. Sparse
-            # code drift keeps the plan via an in-place repair.
-            wq, w_mask = _quantize_weight()
-            neq = wq != old.wq
-            if not neq.any():
-                return LayerKernelState(old.wq, w_mask, old.plan), True
-            if old.plan is not None:
-                # wq is (N, K); the plan operand is wq.T, so swap the diff axes.
-                nz_r, nz_c = np.nonzero(neq)
-                if repair_plan(old.plan, old.wq.T, wq.T, changed=(nz_c, nz_r)):
-                    return LayerKernelState(wq, w_mask, old.plan), True
-            return _state_from(wq, w_mask), False
-
-        if plan_cache is not None:
-            state = plan_cache.get(
-                "linear", plan_key, multiplier, _build, revalidate=_revalidate
-            )
-        else:
-            state = LayerKernelState(*_quantize_weight())
-        wq = state.wq
-        self.w_mask = state.w_mask
-        need_exact = _needs_exact(error_model)
-        y_int, y_exact = _int_gemm(xq, wq.T, multiplier, need_exact, plan=state.plan)
-        self.xq, self.wq = xq, wq
-        self.scale = _gradient_scale(error_model, y_exact)
-        self.has_bias = bias is not None
-        out = y_int.astype(np.float32) * (np.float32(self.act_step) * self.w_step_col[None, :])
-        if self.has_bias:
-            out = out + bias
-        return out
+        out = _conv_forward(
+            self, x[:, :, None, None], weight[:, :, None, None], bias, 1, 0, 1,
+            act_step, w_step, act_bits, w_bits, multiplier, error_model,
+            plan_cache, plan_key,
+        )
+        return out.reshape(out.shape[:2])
 
     def backward(self, grad_out):
-        g = grad_out * self.scale
-        x_fq = self.xq.astype(np.float32) * np.float32(self.act_step)
-        w_fq = self.wq.astype(np.float32) * self.w_step_col[:, None]
-        grad_x = float_matmul(g, w_fq) * self.x_mask
-        grad_w = float_matmul(g.T, x_fq) * self.w_mask
-        grad_b = grad_out.sum(axis=0) if self.has_bias else None
-        return (grad_x, grad_w, grad_b, None, None, None, None, None, None)
+        grad_x, grad_w, grad_b = _conv_backward(self, grad_out[:, :, None, None])
+        grad_x, grad_w = grad_x.reshape(grad_x.shape[:2]), grad_w.reshape(grad_w.shape[:2])
+        return (grad_x, grad_w, grad_b) + (None,) * 6
 
 
 class QuantConv2dFunction(Function):
     """Quantized / approximate convolution as an integer GEMM.
 
-    Supports ``groups == 1`` (dense; planned, it gathers before unfolding
-    through :meth:`~repro.approx.plan.GemmPlan.execute_conv`, otherwise
-    ``im2col`` + GEMM), the depthwise case (``groups == in_channels`` with
-    one filter per channel) fully vectorised, and arbitrary groups via a
-    per-group loop.
+    A dense convolution gathers before unfolding when planned
+    (:meth:`~repro.approx.plan.GemmPlan.execute_conv`), otherwise runs
+    ``im2col`` + GEMM. The depthwise case (``groups == in_channels`` with
+    one filter per channel) is a vectorised LUT window sum; any other
+    grouped convolution runs as the dense one of its block-diagonal
+    weights (:func:`~repro.autograd.im2col.block_diagonal`).
     """
 
     def forward(
@@ -245,235 +391,10 @@ class QuantConv2dFunction(Function):
         plan_cache=None,
         plan_key=None,
     ):
-        x = np.asarray(x)
-        weight = np.asarray(weight)
-        n, c, h, w = x.shape
-        oc, cg, kh, kw = weight.shape
-        if c % groups or oc % groups or cg != c // groups:
-            raise ShapeError(
-                f"inconsistent grouped conv: x has {c} channels, weight "
-                f"{weight.shape}, groups={groups}"
-            )
-        self.x_shape = x.shape
-        self.stride, self.padding, self.groups = stride, padding, groups
-        self.act_step = float(act_step)
-        self.has_bias = bias is not None
-        oh = conv_out_size(h, kh, stride, padding)
-        ow = conv_out_size(w, kw, stride, padding)
-        self.out_spatial = (oh, ow)
-        self.kernel = (kh, kw)
-
-        xq, self.x_mask = _quantize_codes(x, act_step, act_bits)
-        self.w_step_col = _weight_step_per_channel(w_step, oc)
-        self.depthwise = groups == c and cg == 1 and oc == c
-        grouped = groups != 1 and not self.depthwise
-
-        def _quantize_weight():
-            return _quantize_codes(weight, self.w_step_col[:, None, None, None], w_bits)
-
-        def _state_from(wq, w_mask):
-            if self.depthwise:
-                # Depthwise runs a LUT window sum, not a GEMM; cache only
-                # the weight quantization.
-                return LayerKernelState(wq, w_mask, None)
-            if grouped:
-                ocg = oc // groups
-                plans = [
-                    _maybe_plan(
-                        np.ascontiguousarray(
-                            wq[g * ocg : (g + 1) * ocg].reshape(ocg, -1).T
-                        ),
-                        multiplier,
-                    )
-                    for g in range(groups)
-                ]
-                return LayerKernelState(wq, w_mask, plans)
-            return LayerKernelState(
-                wq,
-                w_mask,
-                _maybe_plan(np.ascontiguousarray(conv_plan_operand(wq)), multiplier),
-            )
-
-        def _build():
-            return _state_from(*_quantize_weight())
-
-        def _revalidate(old):
-            wq, w_mask = _quantize_weight()
-            neq = wq != old.wq
-            if not neq.any():
-                return LayerKernelState(old.wq, w_mask, old.plan), True
-            if not self.depthwise and old.plan is not None:
-                if grouped:
-                    ocg = oc // groups
-                    repaired = all(
-                        old.plan[g] is not None
-                        and repair_plan(
-                            old.plan[g],
-                            old.wq[g * ocg : (g + 1) * ocg].reshape(ocg, -1).T,
-                            wq[g * ocg : (g + 1) * ocg].reshape(ocg, -1).T,
-                        )
-                        for g in range(groups)
-                    )
-                else:
-                    # Diff in the plan's (kh, kw, c) row layout.
-                    repaired = repair_plan(
-                        old.plan,
-                        conv_plan_operand(old.wq),
-                        conv_plan_operand(wq),
-                        changed=np.nonzero(conv_plan_operand(neq)),
-                    )
-                if repaired:
-                    return LayerKernelState(wq, w_mask, old.plan), True
-            return _state_from(wq, w_mask), False
-
-        if plan_cache is not None:
-            tag = "groups" if grouped else ("depthwise" if self.depthwise else "conv")
-            state = plan_cache.get(
-                tag, plan_key, multiplier, _build, revalidate=_revalidate
-            )
-        else:
-            wq, w_mask = _quantize_weight()
-            state = LayerKernelState(wq, w_mask, [None] * groups if grouped else None)
-        wq = state.wq
-        self.w_mask = state.w_mask
-        plan_state = state.plan
-        self.wq = wq
-        need_exact = _needs_exact(error_model)
-        rescale_col = np.float32(self.act_step) * self.w_step_col  # (OC,)
-
-        if groups == 1:
-            # The im2col columns are built only for a reader: the reference
-            # GEMM, the GE exact GEMM, or (lazily, from xq) the backward.
-            self.xq, self.cols = xq, None
-            w2d = wq.reshape(oc, -1).T
-            if plan_state is not None:
-                y_int = plan_state.execute_conv(xq, (kh, kw), stride, padding)
-                y_exact = None
-                if need_exact:
-                    self.cols, _ = im2col(xq, (kh, kw), stride, padding)
-                    y_exact = exact_int_matmul(self.cols, w2d)
-            else:
-                self.cols, _ = im2col(xq, (kh, kw), stride, padding)
-                y_int, y_exact = _int_gemm(self.cols, w2d, multiplier, need_exact)
-            self.scale = _gradient_scale(error_model, y_exact)
-            out = y_int.astype(np.float32) * rescale_col[None, :]
-            out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
-        elif self.depthwise:
-            windows = sliding_windows(xq, (kh, kw), stride, padding)
-            self.windows = windows
-            w4 = wq.reshape(c, kh, kw)
-
-            def _exact_depthwise():
-                # Products are < 2^10 and the window sum has <= kh*kw terms,
-                # so float32 accumulation is exact here.
-                acc = np.einsum(
-                    "nchwij,cij->nchw",
-                    windows.astype(np.float32),
-                    w4.astype(np.float32),
-                    optimize=True,
-                )
-                return np.rint(acc).astype(np.int64)
-
-            if multiplier is None or multiplier.is_exact:
-                y_int = _exact_depthwise()
-                y_exact = y_int if need_exact else None
-            else:
-                xhi = 2 ** (act_bits - 1) - 1
-                whi = 2 ** (w_bits - 1) - 1
-                slut = multiplier.signed_lut()
-                prods = slut[windows + xhi, w4[None, :, None, None] + whi]
-                y_int = prods.sum(axis=(4, 5), dtype=np.int64)
-                y_exact = _exact_depthwise() if need_exact else None
-            self.scale = _gradient_scale(error_model, y_exact)
-            out = y_int.astype(np.float32) * rescale_col[None, :, None, None]
-        else:
-            ocg = oc // groups
-            self.group_cols: list[np.ndarray] = []
-            scales: list[np.ndarray | float] = []
-            outs = []
-            for g in range(groups):
-                xg = xq[:, g * cg : (g + 1) * cg]
-                wg = wq[g * ocg : (g + 1) * ocg]
-                cols, _ = im2col(xg, (kh, kw), stride, padding)
-                self.group_cols.append(cols)
-                y_int, y_exact = _int_gemm(
-                    cols, wg.reshape(ocg, -1).T, multiplier, need_exact,
-                    plan=plan_state[g],
-                )
-                scales.append(_gradient_scale(error_model, y_exact))
-                og = y_int.astype(np.float32) * rescale_col[None, g * ocg : (g + 1) * ocg]
-                outs.append(og.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2))
-            self.group_scales = scales
-            out = np.concatenate(outs, axis=1)
-
-        if self.has_bias:
-            out = out + np.asarray(bias).reshape(1, oc, 1, 1)
-        return np.ascontiguousarray(out)
+        return _conv_forward(
+            self, x, weight, bias, stride, padding, groups, act_step, w_step,
+            act_bits, w_bits, multiplier, error_model, plan_cache, plan_key,
+        )
 
     def backward(self, grad_out):
-        n, c, h, w = self.x_shape
-        kh, kw = self.kernel
-        oh, ow = self.out_spatial
-        stride, padding, groups = self.stride, self.padding, self.groups
-        oc = self.wq.shape[0]
-        sx = np.float32(self.act_step)
-        sw_col = self.w_step_col  # (OC,)
-        grad_b = grad_out.sum(axis=(0, 2, 3)) if self.has_bias else None
-
-        if groups == 1:
-            g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
-            g2 = g2 * self.scale
-            cols = self.cols
-            if cols is None:
-                cols, _ = im2col(self.xq, (kh, kw), stride, padding)
-            x_fq = cols.astype(np.float32) * sx
-            w_fq = self.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None]
-            grad_w = float_matmul(g2.T, x_fq).reshape(self.wq.shape)
-            grad_cols = float_matmul(g2, w_fq)
-            grad_x = col2im(grad_cols, self.x_shape, (kh, kw), stride, padding)
-        elif self.depthwise:
-            g4 = grad_out * self.scale  # (N, C, OH, OW)
-            win_fq = self.windows.astype(np.float32) * sx
-            w_fq = self.wq.reshape(c, kh, kw).astype(np.float32) * sw_col[:, None, None]
-            grad_w = np.einsum("nchw,nchwij->cij", g4, win_fq, optimize=True)
-            grad_w = grad_w.reshape(self.wq.shape)
-            grad_windows = np.einsum("nchw,cij->nchwij", g4, w_fq, optimize=True)
-            cols = grad_windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-            grad_x = col2im(cols, self.x_shape, (kh, kw), stride, padding)
-        else:
-            ocg = oc // groups
-            cg = c // groups
-            grad_w = np.empty(self.wq.shape, dtype=np.float32)
-            grad_x_parts = []
-            for g in range(groups):
-                gg = grad_out[:, g * ocg : (g + 1) * ocg]
-                g2 = gg.transpose(0, 2, 3, 1).reshape(n * oh * ow, ocg)
-                g2 = g2 * self.group_scales[g]
-                x_fq = self.group_cols[g].astype(np.float32) * sx
-                grad_w[g * ocg : (g + 1) * ocg] = float_matmul(g2.T, x_fq).reshape(
-                    ocg, cg, kh, kw
-                )
-                w_fq = (
-                    self.wq[g * ocg : (g + 1) * ocg].reshape(ocg, -1).astype(np.float32)
-                    * sw_col[g * ocg : (g + 1) * ocg, None]
-                )
-                grad_cols = float_matmul(g2, w_fq)
-                grad_x_parts.append(col2im(grad_cols, (n, cg, h, w), (kh, kw), stride, padding))
-            grad_x = np.concatenate(grad_x_parts, axis=1)
-
-        grad_x = grad_x * self.x_mask
-        grad_w = grad_w * self.w_mask
-        return (
-            grad_x,
-            grad_w,
-            grad_b,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-        )
+        return _conv_backward(self, grad_out) + (None,) * 9

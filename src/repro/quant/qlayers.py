@@ -19,7 +19,7 @@ import numpy as np
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import PlanCache
 from repro.approx.registry import as_multiplier
-from repro.autograd.im2col import im2col
+from repro.autograd.im2col import check_groups, im2col
 from repro.autograd.tensor import Tensor
 from repro.errors import QuantizationError
 from repro.ge.error_model import PiecewiseLinearErrorModel
@@ -170,6 +170,7 @@ class QuantConv2d(_QuantGemmLayer):
         rng=None,
     ):
         super().__init__(qconfig or QConfig())
+        check_groups(in_channels, out_channels, groups)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size

@@ -99,8 +99,25 @@ class TestConv2d:
     def test_rejects_bad_groups(self, rng):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         w = Tensor(np.zeros((4, 3, 3, 3), dtype=np.float32))
+        for groups in (2, 0, -1):
+            with pytest.raises(ShapeError):
+                conv2d(x, w, None, 1, 1, groups=groups)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, stride, padding",
+        [
+            ((1, 3, 6, 6), (4, 3, 3, 3), 0, 0),
+            ((1, 3, 6, 6), (4, 3, 3, 3), 1, -1),
+            ((3, 6, 6), (4, 3, 3, 3), 1, 0),
+            ((1, 3, 6, 6), (4, 3, 3), 1, 0),
+        ],
+        ids=["stride0", "padding-neg", "3d-x", "3d-w"],
+    )
+    def test_rejects_bad_geometry(self, x_shape, w_shape, stride, padding):
+        x = Tensor(np.zeros(x_shape, dtype=np.float32))
+        w = Tensor(np.zeros(w_shape, dtype=np.float32))
         with pytest.raises(ShapeError):
-            conv2d(x, w, None, 1, 1, groups=2)
+            conv2d(x, w, None, stride, padding)
 
     def test_rejects_channel_mismatch(self):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))

@@ -9,12 +9,9 @@ from repro.obs import trace as tr
 from repro.parallel import (
     BACKENDS,
     ParallelConfig,
-    effective_workers,
     fork_available,
-    get_default_config,
     map_workers,
     resolve_backend,
-    set_default_config,
 )
 
 pytestmark = pytest.mark.parallel
@@ -57,9 +54,8 @@ def events():
 
 class TestConfig:
     def test_defaults_are_serial(self):
-        assert get_default_config().workers == 1
-        assert resolve_backend(get_default_config()) == "serial"
-        assert effective_workers() == 1
+        assert ParallelConfig().workers == 1
+        assert resolve_backend(ParallelConfig()) == "serial"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -68,23 +64,8 @@ class TestConfig:
             ParallelConfig(backend="gpu")
         assert set(BACKENDS) >= {"auto", "process", "thread", "serial"}
 
-    def test_with_workers(self):
-        config = ParallelConfig(workers=1, backend="thread")
-        assert config.with_workers(None) is config
-        assert config.with_workers(3).workers == 3
-        assert config.with_workers(3).backend == "thread"
-
     def test_serial_backend_wins_over_workers(self):
         assert resolve_backend(ParallelConfig(workers=8, backend="serial")) == "serial"
-
-    def test_set_default_round_trips(self):
-        previous = set_default_config(ParallelConfig(workers=5))
-        try:
-            assert effective_workers() == 5
-            assert effective_workers(2) == 2
-        finally:
-            set_default_config(previous)
-        assert effective_workers() == 1
 
 
 class TestMapWorkers:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.errors import QuantizationError, ShapeError
+from repro.nn import Conv2d
+from repro.quant import QuantConv2d
 from repro.quant.qfunction import (
     QuantConv2dFunction,
     QuantLinearFunction,
@@ -16,6 +18,17 @@ class TestQuantLinearValidation:
     def test_rejects_non_2d_input(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32))
         w = Tensor(rng.normal(size=(5, 4)).astype(np.float32))
+        with pytest.raises(ShapeError):
+            QuantLinearFunction.apply(x, w, None, 1 / 32, 1 / 8, 8, 4)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape",
+        [((2, 4), (4,)), ((2, 4), (5, 4, 1)), ((2, 4), (5, 3)), ((2, 4), (4, 5))],
+        ids=["1d-weight", "3d-weight", "fewer-in-features", "transposed-weight"],
+    )
+    def test_rejects_bad_weight(self, rng, x_shape, w_shape):
+        x = Tensor(rng.normal(size=x_shape).astype(np.float32))
+        w = Tensor(rng.normal(size=w_shape).astype(np.float32))
         with pytest.raises(ShapeError):
             QuantLinearFunction.apply(x, w, None, 1 / 32, 1 / 8, 8, 4)
 
@@ -32,6 +45,33 @@ class TestQuantConvValidation:
         w = Tensor(rng.normal(size=(4, 2, 3, 3)).astype(np.float32))
         with pytest.raises(ShapeError):
             QuantConv2dFunction.apply(x, w, None, 1, 1, 1, 1 / 32, 1 / 8, 8, 4)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, stride, padding, groups",
+        [
+            ((1, 4, 6, 6), (4, 4, 3, 3), 0, 1, 1),
+            ((1, 4, 6, 6), (4, 4, 3, 3), -1, 1, 1),
+            ((1, 4, 6, 6), (4, 4, 3, 3), 1, -1, 1),
+            ((1, 4, 6, 6), (4, 4, 3, 3), 1, 1, 0),
+            ((1, 4, 6, 6), (4, 4, 3, 3), 1, 1, -2),
+            ((4, 6, 6), (4, 4, 3, 3), 1, 1, 1),
+            ((1, 4, 6, 6), (4, 4, 3), 1, 1, 1),
+        ],
+        ids=["stride0", "stride-neg", "padding-neg", "groups0", "groups-neg", "3d-x", "3d-w"],
+    )
+    def test_rejects_bad_geometry(self, rng, x_shape, w_shape, stride, padding, groups):
+        x = Tensor(rng.normal(size=x_shape).astype(np.float32))
+        w = Tensor(rng.normal(size=w_shape).astype(np.float32))
+        with pytest.raises(ShapeError):
+            QuantConv2dFunction.apply(
+                x, w, None, stride, padding, groups, 1 / 32, 1 / 8, 8, 4
+            )
+
+    @pytest.mark.parametrize("layer", [Conv2d, QuantConv2d])
+    @pytest.mark.parametrize("groups", [0, -1, 3])
+    def test_constructors_reject_bad_groups(self, layer, groups):
+        with pytest.raises(ShapeError):
+            layer(4, 4, 3, groups=groups)
 
 
 class TestPerChannelStepValidation:

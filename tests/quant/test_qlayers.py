@@ -117,6 +117,36 @@ class TestExactIntegerPath:
         ref = conv2d(Tensor(xq), Tensor(wq), None, 1, 0, 2).data
         np.testing.assert_allclose(out, ref, atol=1e-4)
 
+    @pytest.mark.parametrize("mult", ["exact", "truncated5", "evoapprox228"])
+    def test_grouped_equals_per_group_dense_layers(self, rng, mult):
+        # A grouped layer runs as the dense conv of its block-diagonal
+        # weights; every product off the blocks is an exact zero.
+        layer = QuantConv2d(4, 6, 3, stride=2, padding=1, groups=2, rng=rng)
+        layer.act_step = 1 / 32
+        layer.weight_step = np.array([1 / 8, 1 / 16, 1 / 8, 1 / 16, 1 / 8, 1 / 16], np.float32)
+        layer.bias.data = rng.normal(size=6).astype(np.float32)
+        layer.set_multiplier(mult)
+        x = Tensor(rng.normal(size=(2, 4, 7, 7)).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=(2, 6, 4, 4)).astype(np.float32)
+        out = layer(x)
+        out.backward(g)
+        parts = []
+        for i in range(2):
+            dense = QuantConv2d(2, 3, 3, stride=2, padding=1)
+            dense.act_step = layer.act_step
+            dense.weight_step = layer.weight_step[3 * i : 3 * i + 3]
+            dense.weight.data = layer.weight.data[3 * i : 3 * i + 3]
+            dense.bias.data = layer.bias.data[3 * i : 3 * i + 3]
+            dense.set_multiplier(mult)
+            xi = Tensor(x.data[:, 2 * i : 2 * i + 2], requires_grad=True)
+            yi = dense(xi)
+            yi.backward(g[:, 3 * i : 3 * i + 3])
+            parts.append((yi.data, xi.grad, dense.weight.grad))
+        ys, gxs, gws = (np.concatenate(p, axis=a) for p, a in zip(zip(*parts), (1, 1, 0)))
+        np.testing.assert_array_equal(out.data, ys)
+        np.testing.assert_allclose(x.grad, gxs, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(layer.weight.grad, gws, rtol=1e-6, atol=1e-7)
+
 
 class TestApproximatePath:
     def test_exact_multiplier_equals_plain_integer(self, qconv, rng):

@@ -9,8 +9,10 @@ step.
 """
 
 import copy
+import functools
 
 import numpy as np
+import pytest
 
 from repro.approx import build_plan, get_multiplier, plan_cache_disabled
 from repro.approx.plan import conv_plan_operand
@@ -36,11 +38,11 @@ def _build_mlp(error_model=GE_MODEL):
     return layers
 
 
-def _build_conv():
+def _build_conv(groups=1):
     rng = np.random.default_rng(8)
     layers = [
         QuantConv2d(3, 6, 3, padding=1, rng=rng),
-        QuantConv2d(6, 6, 3, stride=2, padding=1, rng=rng),
+        QuantConv2d(6, 6, 3, stride=2, padding=1, groups=groups, rng=rng),
     ]
     for layer in layers:
         layer.act_step, layer.weight_step = 1 / 16, 1 / 8
@@ -94,11 +96,13 @@ class TestTrainingBitwiseEquivalence:
             reference = _train(_build_mlp, xs, gs)
         _assert_histories_identical(reference, _train(_build_mlp, xs, gs), "cached")
 
-    def test_conv_training_identical_across_cache_modes(self, rng):
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_conv_training_identical_across_cache_modes(self, rng, groups):
         xs, gs = _batches(rng, 4, (3, 3, 8, 8), (3, 6, 4, 4))
+        build = functools.partial(_build_conv, groups)
         with plan_cache_disabled():
-            reference = _train(_build_conv, xs, gs)
-        _assert_histories_identical(reference, _train(_build_conv, xs, gs), "cached")
+            reference = _train(build, xs, gs)
+        _assert_histories_identical(reference, _train(build, xs, gs), "cached")
 
     def test_refresh_weight_step_mid_run_stays_identical(self, rng):
         xs, gs = _batches(rng, 4, (6, 12), (6, 5))
