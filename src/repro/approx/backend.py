@@ -30,7 +30,7 @@ _EXACT_INT64_BOUND = 2.0**63
 
 
 def tiered_exact_int_matmul(
-    a: np.ndarray, b: np.ndarray, cache: dict | None = None
+    a: np.ndarray, b: np.ndarray, cache: dict | None = None, a_max: float | None = None
 ) -> np.ndarray:
     """The exact integer GEMM reference: tiered f32/f64/int64 accumulation.
 
@@ -38,6 +38,13 @@ def tiered_exact_int_matmul(
     operands' worst-case partial sum ``max|a|·max|b|·K``; raises
     :class:`~repro.errors.MultiplierError` when even int64 could wrap
     (``≥ 2^63``) rather than returning silently-overflowed garbage.
+    ``a_max`` bounds ``max|a|`` without a pass over ``a``.
+
+    Both operands must hold integer values. The result dtype follows
+    ``a``: integer ``a`` gives int64; float ``a`` (a layer's float32
+    columns) gives the exact product in the accumulation dtype (float32,
+    float64, or int64 above the float64 tier), which casts to float32 as
+    the int64 result would.
 
     ``cache`` optionally memoizes the magnitude of ``b`` and its dtype
     conversions across calls that share the same ``b`` (a layer's frozen
@@ -53,7 +60,8 @@ def tiered_exact_int_matmul(
     bmax = cache.get("absmax")
     if bmax is None:
         bmax = cache["absmax"] = float(np.abs(b).max())
-    max_sum = float(np.abs(a).max()) * bmax * a.shape[1]
+    a_max = float(np.abs(a).max()) if a_max is None else a_max
+    max_sum = a_max * bmax * a.shape[1]
     if max_sum < _EXACT_FLOAT32_BOUND:
         dtype = np.float32
     elif max_sum < _EXACT_FLOAT64_BOUND:
@@ -69,8 +77,8 @@ def tiered_exact_int_matmul(
     b_conv = cache.get(dtype)
     if b_conv is None:
         b_conv = cache[dtype] = b.astype(dtype)
-    y = a.astype(dtype) @ b_conv
-    return y if dtype is np.int64 else np.rint(y).astype(np.int64)
+    y = a.astype(dtype, copy=False) @ b_conv
+    return y if dtype is np.int64 or a.dtype.kind == "f" else np.rint(y).astype(np.int64)
 
 
 def float_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -42,17 +42,19 @@ from repro.obs import metrics as met
 from repro.obs import trace as tr
 
 
-def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def exact_int_matmul(a: np.ndarray, b: np.ndarray, a_max: float | None = None) -> np.ndarray:
     """Exact integer GEMM: :func:`~repro.approx.backend.tiered_exact_int_matmul`.
 
     Tiered float32/float64 BLAS — exact for the bounded operands produced
     by the quantizer (docs/PERFORMANCE.md lists the tier bounds) — with
-    int64 accumulation above the float64 tier.
+    int64 accumulation above the float64 tier. ``a_max`` optionally
+    bounds ``max|a|``. Both operands must hold integer values; integer
+    ``a`` gives int64, float ``a`` the product in the accumulation dtype.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     with tr.span("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
-        return tiered_exact_int_matmul(a, b)
+        return tiered_exact_int_matmul(a, b, a_max=a_max)
 
 
 def exact_int_matmul_cached(a: np.ndarray, b: np.ndarray, cache: dict) -> np.ndarray:

@@ -28,11 +28,12 @@ per-batch path:
 call. ``plan.execute_conv(codes, kernel, stride, padding)`` is the same
 GEMM for a dense convolution: it gathers the products of every padded
 NHWC activation once and unfolds the gathered products rather than the
-codes, against a plan whose rows run in ``(kh, kw, c)`` order. Every
-product and partial sum is an exactly-represented integer, so either
-result is **bitwise identical** to the uncached
-:func:`repro.approx.gemm.approx_matmul` path (after ``im2col`` for a
-convolution) — reordering exact integer sums cannot change them.
+codes, against a plan whose rows run in ``(kh, kw, c)`` order, and
+returns a float product. Every product and partial sum is an
+exactly-represented integer, so either result is **bitwise identical**
+to the uncached :func:`repro.approx.gemm.approx_matmul` path (after
+``im2col`` for a convolution) — reordering exact integer sums cannot
+change them.
 
 :class:`PlanCache` is the per-layer memo keyed by a weight-version
 counter (see :class:`repro.nn.parameter.Parameter`); a training step
@@ -50,12 +51,11 @@ import threading
 from typing import Any, Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.approx.backend import _EXACT_FLOAT32_BOUND
 from repro.approx.multiplier import Multiplier
 from repro.approx.registry import as_multiplier
-from repro.autograd.im2col import conv_out_size
+from repro.autograd.im2col import nhwc_padded, nhwc_windows
 from repro.errors import MultiplierError, ShapeError
 from repro.obs import metrics as met
 from repro.obs import trace as tr
@@ -193,7 +193,7 @@ class GemmPlan:
             # No ``out=``: in the default "raise" mode NumPy gathers into a
             # temporary and copies it into ``out``, doing the gather twice.
             gathered = np.take(self.lut_rows, idx, axis=0)
-        return self._combine(gathered.reshape(m, -1), gathered.size)
+        return np.rint(self._combine(gathered.reshape(m, -1), gathered.size)).astype(np.int64)
 
     def execute_conv(
         self, codes: np.ndarray, kernel: tuple[int, int], stride: int, padding: int
@@ -205,10 +205,13 @@ class GemmPlan:
         codes and gathering every unfolded code (up to ``kh·kw`` lookups
         per activation), this gathers the LUT products of each padded
         activation once, as an NHWC ``(N, Hp, Wp, C, V)`` array, and
-        unfolds the *products* with one ``as_strided`` window copy into
-        ``(N·OH·OW, KH·KW·C·V)`` rows. The padding border is
-        code 0, as in ``im2col``. Every partial sum is an exact integer, so
-        the result equals ``im2col`` + :meth:`execute` bit for bit.
+        unfolds the *products* with one window copy into
+        ``(N·OH·OW, KH·KW·C·V)`` rows
+        (:func:`~repro.autograd.im2col.nhwc_windows`). The padding border
+        is code 0, as in ``im2col``. The result is the float product in
+        the plan's dtype: every partial sum is an exact integer, so it
+        equals ``im2col`` + :meth:`execute` bit for bit and casts to
+        float32 as that int64 result would.
 
         Codes outside the multiplier's symmetric x-range raise
         :class:`MultiplierError` before anything is gathered.
@@ -221,45 +224,22 @@ class GemmPlan:
                 f"{c} channels"
             )
         check_magnitude(codes, self.xhi, self.multiplier_name, "a")
-        oh = conv_out_size(h, kh, stride, padding)
-        ow = conv_out_size(w, kw, stride, padding)
-        v = self.num_values
-        if v == 0:
-            return np.zeros((n * oh * ow, self.n), dtype=np.int64)
-        if (kh, kw) == (1, 1) and padding == 0:
-            # A strided 1x1 window reads only every stride-th position.
-            codes, stride = codes[:, :, ::stride, ::stride], 1
-        # Padded rows and columns that no window reads are never gathered.
-        hp, wp = (oh - 1) * stride + kh, (ow - 1) * stride + kw
-        hi, wi = max(0, min(h, hp - padding)), max(0, min(w, wp - padding))
         with tr.span("approx.lut_gather", nbytes=codes.nbytes):
-            idx = np.full((n, hp, wp, c), self.xhi, dtype=np.intp)
-            np.add(
-                codes[:, :, :hi, :wi].transpose(0, 2, 3, 1),
-                self.xhi,
-                out=idx[:, padding : padding + hi, padding : padding + wi],
-            )
+            idx, stride = nhwc_padded(codes, kernel, stride, padding, np.intp, self.xhi)
             gathered = np.take(self.lut_rows, idx, axis=0)
-            sn, sh, sw, sc, sv = gathered.strides
-            windows = as_strided(
-                gathered,
-                shape=(n, oh, ow, kh, kw, c, v),
-                strides=(sn, sh * stride, sw * stride, sh, sw, sc, sv),
-                writeable=False,
-            )
-            cols = windows.reshape(n * oh * ow, self.k * v)
+            cols = nhwc_windows(gathered, kernel, stride)
         return self._combine(cols, gathered.size)
 
     def _combine(self, cols: np.ndarray, gathered_elems: int) -> np.ndarray:
-        """One BLAS call of gathered ``(M, K·V)`` products against ``big_h``."""
+        """One BLAS call of gathered ``(M, K·V)`` products against ``big_h``;
+        the float product, whose every entry is an exact integer."""
         m, kv = cols.shape
         met.inc("approx.lut_gathered_values", self.num_values)
         met.inc("approx.lut_gathered_elems", gathered_elems)
         with tr.span(
             "approx.matmul_blas", nbytes=(m * kv + kv * self.n) * self.dtype.itemsize
         ):
-            y = cols @ self.big_h
-        return np.rint(y).astype(np.int64)
+            return cols @ self.big_h
 
 
 def conv_plan_operand(wq: np.ndarray) -> np.ndarray:

@@ -1,20 +1,22 @@
 """im2col / col2im transformations.
 
 These turn convolutions into GEMMs, matching the paper's formulation of
-convolutional layers as General Matrix Multiplications (section III-B). The
-same helpers are reused by the exact float convolution, the fake-quantized
-convolution and the reference path of the approximate integer convolution.
-A planned approximate convolution unfolds gathered LUT products instead
-(:meth:`repro.approx.plan.GemmPlan.execute_conv`) and calls :func:`im2col`
-only when the code columns themselves are read: by the gradient-estimation
-exact GEMM or by the backward pass.
+convolutional layers as General Matrix Multiplications (section III-B).
+:func:`im2col` uses ``(c, kh, kw)`` column order; the float convolution
+and calibration call it. The quantized convolution unfolds its codes
+once, as float32 in ``(kh, kw, c)`` order (:func:`unfold_nhwc`); a
+planned one unfolds gathered LUT products through the same padded-NHWC
+and window-copy helpers (:meth:`repro.approx.plan.GemmPlan.execute_conv`).
+Every gradient folds back through :func:`col2im`.
 
-Each call pads into a fresh zeroed buffer (``im2col``) or accumulates
+Each call pads into a fresh buffer (``im2col``) or accumulates
 into one (``col2im``). Pooling these buffers per shape measured no
 faster and raised peak RSS (docs/PERFORMANCE.md, "The training path").
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -27,10 +29,11 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Output spatial size of a convolution along one axis.
 
     Every unfolding helper sizes its windows here, so this is where a
-    stride below 1 or a negative padding is rejected.
+    kernel or stride below 1 or a negative padding is rejected.
     """
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"conv needs stride >= 1 and padding >= 0, got {stride}, {padding}")
+    if kernel < 1 or stride < 1 or padding < 0:
+        geometry = f"kernel {kernel}, stride {stride}, padding {padding}"
+        raise ShapeError(f"conv needs kernel, stride >= 1 and padding >= 0, got {geometry}")
     out = (size + 2 * padding - kernel) // stride + 1
     if out <= 0:
         raise ShapeError(
@@ -143,6 +146,48 @@ def col2im(
         if padding > 0:
             dx = dx[:, :, padding : padding + h, padding : padding + w]
         return np.ascontiguousarray(dx)
+
+
+def nhwc_padded(x: np.ndarray, kernel, stride: int, padding: int, dtype, shift: int = 0):
+    """``(buf, stride)``: NCHW ``x + shift`` as the NHWC ``dtype`` buffer that
+    :func:`nhwc_windows` unfolds with that stride, padded with ``shift``.
+    Rows and columns no window reads are left out; a 1×1 kernel with no
+    padding keeps every stride-th position, so its buffer is the columns."""
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    oh = conv_out_size(h, kh, stride, padding)
+    ow = conv_out_size(w, kw, stride, padding)
+    if (kh, kw) == (1, 1) and padding == 0:
+        x, stride = x[:, :, ::stride, ::stride], 1
+        buf = np.empty((n, oh, ow, c), dtype=dtype)
+    else:
+        hp, wp = (oh - 1) * stride + kh, (ow - 1) * stride + kw
+        buf = np.full((n, hp, wp, c), shift, dtype=dtype)
+    hi = max(0, min(x.shape[2], buf.shape[1] - padding))
+    wi = max(0, min(x.shape[3], buf.shape[2] - padding))
+    inner = buf[:, padding : padding + hi, padding : padding + wi]
+    np.add(x[:, :, :hi, :wi].transpose(0, 2, 3, 1), shift, out=inner)
+    return buf, stride
+
+
+def nhwc_windows(buf: np.ndarray, kernel: tuple[int, int], stride: int) -> np.ndarray:
+    """One window copy of a padded ``(N, Hp, Wp, C, ...)`` buffer into
+    ``(N·OH·OW, KH·KW·C·...)`` rows, in ``(kh, kw, c, ...)`` order."""
+    (n, hp, wp, *rest), (kh, kw) = buf.shape, kernel
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    sn, sh, sw, *rest_strides = buf.strides
+    windows = as_strided(
+        buf, (n, oh, ow, kh, kw, *rest), (sn, sh * stride, sw * stride, sh, sw, *rest_strides),
+        writeable=False,
+    )
+    return windows.reshape(n * oh * ow, kh * kw * math.prod(rest))
+
+
+def unfold_nhwc(x: np.ndarray, kernel, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """:func:`im2col` as float32, with its columns in ``(kh, kw, c)`` order."""
+    with tr.span("autograd.im2col", nbytes=x.nbytes):
+        buf, stride = nhwc_padded(x, kernel, stride, padding, np.float32)
+        return nhwc_windows(buf, kernel, stride)
 
 
 def sliding_windows(

@@ -138,7 +138,7 @@ class Conv2dOp(Function):
 class AvgPool2d(Function):
     def forward(self, x, kernel: int, stride: int | None = None):
         x = np.asarray(x)
-        stride = stride or kernel
+        stride = kernel if stride is None else stride
         self.x_shape = x.shape
         self.kernel, self.stride = kernel, stride
         windows = sliding_windows(x, (kernel, kernel), stride, 0)
@@ -160,7 +160,7 @@ class AvgPool2d(Function):
 class MaxPool2d(Function):
     def forward(self, x, kernel: int, stride: int | None = None):
         x = np.asarray(x)
-        stride = stride or kernel
+        stride = kernel if stride is None else stride
         self.x_shape = x.shape
         self.kernel, self.stride = kernel, stride
         windows = sliding_windows(x, (kernel, kernel), stride, 0)

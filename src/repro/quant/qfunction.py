@@ -20,13 +20,16 @@ The backward pass implements:
   where ``K`` is the derivative of the fitted error function evaluated at
   the *exact* GEMM outputs (Eq. 13).
 
-A planned dense convolution never runs the activation codes through
-``im2col`` for its forward GEMM:
-:meth:`~repro.approx.plan.GemmPlan.execute_conv` gathers each padded
-activation's LUT products once and unfolds the products. The codes are
-unfolded only when something reads the columns — the exact GEMM of
-gradient estimation, or the backward pass, which builds them lazily from
-the stored NCHW codes — so under ``no_grad`` no ``im2col`` runs.
+A dense convolution unfolds its codes at most once, as float32 columns
+in its weight operand's ``(kh, kw, c)`` row order
+(:func:`~repro.autograd.im2col.unfold_nhwc`), for the reference GEMM, the
+GE exact GEMM and the backward. A planned forward gathers before it
+unfolds (:meth:`~repro.approx.plan.GemmPlan.execute_conv`), so under
+``no_grad`` it unfolds nothing. GEMM outputs stay float (their partial
+sums are exact integers). The backward's float GEMMs get ``im2col``'s
+operands, ``grad_w``'s with permuted columns, so their sums keep their
+order; a single output channel's ``grad_w`` (a matrix-vector product,
+whose sum order depends on column position) gets ``im2col``'s columns.
 
 Weight-derived state — the weight codes, their clipped-STE mask and the
 forward GEMM plan — is memoized in a
@@ -63,8 +66,8 @@ from repro.autograd.im2col import (
     col2im,
     conv_out_size,
     diagonal_blocks,
-    im2col,
     sliding_windows,
+    unfold_nhwc,
 )
 from repro.errors import QuantizationError, ShapeError
 from repro.ge.error_model import PiecewiseLinearErrorModel
@@ -258,27 +261,22 @@ def _conv_forward(
         fn.scale = _gradient_scale(error_model, y_exact)
         out = y_int.astype(np.float32) * rescale_col[None, :, None, None]
     else:
-        # The im2col columns are built only for a reader: the reference
-        # GEMM, the GE exact GEMM, or (lazily, from xq) the backward.
-        fn.xq, fn.cols = xq, None
-        w2d = wq.reshape(oc, -1).T
+        # One float32 unfold serves every reader of the columns.
+        fn.cols = None
+        if is_grad_enabled() or state.plan is None:
+            fn.cols = unfold_nhwc(xq, (kh, kw), stride, padding)
+            w_op, a_max = conv_plan_operand(wq), qrange(act_bits)[1]
         if state.plan is not None:
-            y_int = state.plan.execute_conv(xq, (kh, kw), stride, padding)
+            y = state.plan.execute_conv(xq, (kh, kw), stride, padding)
+        elif exact:
+            y = exact_int_matmul(fn.cols, w_op, a_max)
         else:
-            fn.cols, _ = im2col(xq, (kh, kw), stride, padding)
-            if exact:
-                y_int = exact_int_matmul(fn.cols, w2d)
-            else:
-                y_int = approx_matmul(fn.cols, w2d, multiplier)
+            y = approx_matmul(fn.cols.astype(np.int32), w_op, multiplier)
         y_exact = None
-        if need_exact and exact:
-            y_exact = y_int
-        elif need_exact:
-            if fn.cols is None:
-                fn.cols, _ = im2col(xq, (kh, kw), stride, padding)
-            y_exact = exact_int_matmul(fn.cols, w2d)
+        if need_exact:
+            y_exact = y if exact else exact_int_matmul(fn.cols, w_op, a_max)
         fn.scale = _gradient_scale(error_model, y_exact)
-        out = y_int.astype(np.float32) * rescale_col[None, :]
+        out = y.astype(np.float32, copy=False) * rescale_col[None, :]
         out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
 
     if fn.has_bias:
@@ -308,16 +306,17 @@ def _conv_backward(fn: Function, grad_out: np.ndarray) -> tuple:
         cols = grad_windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
         grad_x = col2im(cols, fn.x_shape, (kh, kw), stride, padding)
     else:
-        g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
-        g2 = g2 * fn.scale
-        cols = fn.cols
-        if cols is None:
-            cols, _ = im2col(fn.xq, (kh, kw), stride, padding)
-        x_fq = cols.astype(np.float32) * sx
+        g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc) * fn.scale
+        x_fq = fn.cols * sx
         w_fq = fn.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None]
-        grad_w = float_matmul(g2.T, x_fq).reshape(fn.wq.shape)
-        grad_cols = float_matmul(g2, w_fq)
-        grad_x = col2im(grad_cols, fn.x_shape, (kh, kw), stride, padding)
+        if oc == 1:
+            # NumPy's matrix-vector product sums a column in an order that
+            # depends on its position, so this one gets im2col's order.
+            x_fq = x_fq.reshape(-1, kh, kw, c).transpose(0, 3, 1, 2).reshape(len(g2), -1)
+            grad_w = float_matmul(g2.T, x_fq).reshape(fn.wq.shape)
+        else:
+            grad_w = float_matmul(g2.T, x_fq).reshape(oc, kh, kw, c).transpose(0, 3, 1, 2)
+        grad_x = col2im(float_matmul(g2, w_fq), fn.x_shape, (kh, kw), stride, padding)
 
     grad_x = grad_x * fn.x_mask
     grad_w = grad_w * fn.w_mask
@@ -368,10 +367,10 @@ class QuantConv2dFunction(Function):
 
     A dense convolution gathers before unfolding when planned
     (:meth:`~repro.approx.plan.GemmPlan.execute_conv`), otherwise runs
-    ``im2col`` + GEMM. The depthwise case (``groups == in_channels`` with
-    one filter per channel) is a vectorised LUT window sum; any other
-    grouped convolution runs as the dense one of its block-diagonal
-    weights (:func:`~repro.autograd.im2col.block_diagonal`).
+    the GEMM on its float32 columns. The depthwise case (``groups ==
+    in_channels`` with one filter per channel) is a vectorised LUT window
+    sum; any other grouped convolution runs as the dense one of its
+    block-diagonal weights (:func:`~repro.autograd.im2col.block_diagonal`).
     """
 
     def forward(

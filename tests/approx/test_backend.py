@@ -71,6 +71,27 @@ class TestTieredReference:
         assert cache[tier].dtype == tier  # b converted for this tier only
         assert len(cache) == 2
 
+    @pytest.mark.parametrize("tier", list(TIERS), ids=lambda t: t.__name__)
+    def test_float_a_returns_the_product_in_the_tier_dtype(self, tier, rng):
+        # A layer passes its integer-valued float32 columns and keeps the
+        # float product; integer a keeps the int64 contract.
+        amax, bmax, k = TIERS[tier]
+        a = rng.integers(-amax, amax + 1, size=(6, k), dtype=np.int64)
+        b = rng.integers(-bmax, bmax + 1, size=(k, 5), dtype=np.int64)
+        a[0, 0], b[0, 0] = amax, bmax
+        out = exact_int_matmul(a.astype(np.float64), b)
+        assert out.dtype == tier
+        np.testing.assert_array_equal(out, a @ b)
+        assert exact_int_matmul(a, b).dtype == np.int64
+
+    def test_a_max_picks_the_tier_without_reading_a(self, rng):
+        a = rng.integers(-7, 8, size=(4, 9)).astype(np.float32)
+        b = rng.integers(-7, 8, size=(9, 3)).astype(np.int64)
+        assert exact_int_matmul(a, b).dtype == np.float32
+        wide = exact_int_matmul(a, b, a_max=2.0**20)
+        assert wide.dtype == np.float64
+        np.testing.assert_array_equal(wide, a.astype(np.int64) @ b)
+
     @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
     def test_both_paths_raise_past_int64(self, cached):
         a = np.array([[2**32]], dtype=np.int64)

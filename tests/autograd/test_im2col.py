@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import col2im, conv_out_size, im2col, sliding_windows
+from repro.autograd.im2col import unfold_nhwc
 from repro.errors import ShapeError
 
 
@@ -18,6 +19,11 @@ class TestConvOutSize:
     def test_rejects_too_small(self):
         with pytest.raises(ShapeError):
             conv_out_size(2, 5, 1, 0)
+
+    @pytest.mark.parametrize("kernel", [0, -1])
+    def test_rejects_kernel_below_one(self, kernel):
+        with pytest.raises(ShapeError):
+            conv_out_size(8, kernel, 1, 0)
 
 
 class TestIm2col:
@@ -96,6 +102,46 @@ class TestCol2im:
         lhs = float((cols * c).sum())
         rhs = float((x * col2im(c, x.shape, (k, k), stride, padding)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
+
+
+def _to_nhwc_order(cols, c, k):
+    """im2col's ``(c, kh, kw)`` columns permuted to ``(kh, kw, c)`` order."""
+    return cols.reshape(len(cols), c, k, k).transpose(0, 2, 3, 1).reshape(len(cols), -1)
+
+
+NHWC_CASES = [
+    (k, stride, padding)
+    for k in (1, 3)
+    for stride in (1, 2)
+    for padding in (0, 1, 2)
+]
+
+
+class TestNhwcLayout:
+    """The quantized conv's float (kh, kw, c) unfold."""
+
+    @pytest.mark.parametrize("k, stride, padding", NHWC_CASES)
+    @pytest.mark.parametrize("dtype", ["float32", "int32"])
+    def test_unfold_is_permuted_im2col(self, rng, k, stride, padding, dtype):
+        x = rng.normal(size=(2, 3, 9, 7)) * 4
+        x = np.rint(x).astype(dtype) if dtype == "int32" else x.astype(dtype)
+        cols = unfold_nhwc(x, (k, k), stride, padding)
+        ref, _ = im2col(x, (k, k), stride, padding)
+        expected = _to_nhwc_order(ref, 3, k).astype(np.float32)
+        assert cols.dtype == np.float32
+        assert cols.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("k, stride, padding", NHWC_CASES)
+    def test_col2im_of_permuted_columns_is_the_adjoint(self, rng, k, stride, padding):
+        # The backward folds (kh, kw, c) gradient columns through col2im
+        # after permuting them back to (c, kh, kw).
+        x = rng.normal(size=(2, 3, 9, 7)).astype(np.float32)
+        cols = unfold_nhwc(x, (k, k), stride, padding)
+        g = rng.normal(size=cols.shape)
+        back = g.reshape(len(g), k, k, 3).transpose(0, 3, 1, 2).reshape(len(g), -1)
+        lhs = float((cols * g).sum())
+        rhs = float((x * col2im(back, x.shape, (k, k), stride, padding)).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-6)
 
 
 class TestSlidingWindows:

@@ -149,6 +149,16 @@ class TestPooling:
         x = Tensor(rng.normal(size=(1, 2, 6, 6)).astype(np.float32))
         assert max_pool2d(x, 2, stride=1).shape == (1, 2, 5, 5)
 
+    @pytest.mark.parametrize("pool", [avg_pool2d, max_pool2d], ids=["avg", "max"])
+    @pytest.mark.parametrize(
+        "kernel, stride", [(2, 0), (0, None), (0, 1), (-1, None)],
+        ids=["stride0", "kernel0", "kernel0-stride1", "kernel-neg"],
+    )
+    def test_rejects_bad_geometry(self, pool, kernel, stride):
+        x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            pool(x, kernel, stride=stride)
+
     def test_global_avg_pool(self, rng):
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
         out = global_avg_pool(Tensor(x))

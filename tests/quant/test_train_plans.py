@@ -10,15 +10,18 @@ step.
 
 import copy
 import functools
+import importlib
+import sys
 
 import numpy as np
 import pytest
 
 from repro.approx import build_plan, get_multiplier, plan_cache_disabled
 from repro.approx.plan import conv_plan_operand
-from repro.autograd import Tensor
+from repro.autograd import Tensor, col2im, im2col
 from repro.ge import PiecewiseLinearErrorModel
 from repro.quant import QuantConv2d, QuantLinear
+from repro.quant.qfunction import _gradient_scale, _quantize_codes
 from repro.train import SGD
 
 MULT = get_multiplier("truncated3")
@@ -38,7 +41,7 @@ def _build_mlp(error_model=GE_MODEL):
     return layers
 
 
-def _build_conv(groups=1):
+def _build_conv(groups=1, error_model=None):
     rng = np.random.default_rng(8)
     layers = [
         QuantConv2d(3, 6, 3, padding=1, rng=rng),
@@ -47,7 +50,7 @@ def _build_conv(groups=1):
     for layer in layers:
         layer.act_step, layer.weight_step = 1 / 16, 1 / 8
         layer.weight.data = np.clip(layer.weight.data, -0.8, 0.8)
-        layer.set_multiplier(MULT)
+        layer.set_multiplier(MULT, error_model)
     return layers
 
 
@@ -149,6 +152,66 @@ class TestTrainingBitwiseEquivalence:
             reference = _train(_build_mlp, xs, gs, lr=0.5)
         cached = _train(_build_mlp, xs, gs, lr=0.5)
         _assert_histories_identical(reference, cached, "large-lr")
+
+
+class TestNoIntegerIm2col:
+    """Quantized training unfolds its codes once, as floats, never via im2col."""
+
+    @pytest.mark.parametrize(
+        "build, x_shape, g_shape",
+        [
+            (_build_mlp, (6, 12), (6, 5)),
+            (functools.partial(_build_conv, 1, GE_MODEL), (3, 3, 8, 8), (3, 6, 4, 4)),
+        ],
+        ids=["linear", "conv"],
+    )
+    def test_ge_training_step_runs_without_im2col(
+        self, rng, monkeypatch, build, x_shape, g_shape
+    ):
+        original = importlib.import_module("repro.autograd.im2col").im2col
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("im2col ran in a quantized training step")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        xs, gs = _batches(rng, 2, x_shape, g_shape)
+        with plan_cache_disabled():
+            reference = _train(build, xs, gs)
+        _assert_histories_identical(reference, _train(build, xs, gs), "cached")
+
+    @pytest.mark.parametrize("oc", [48, 1])
+    @pytest.mark.parametrize("name", [None, "truncated5"])
+    def test_gradients_equal_the_im2col_formulas(self, rng, name, oc):
+        # The backward reads float (kh, kw, c) columns; its GEMMs must still
+        # sum what the im2col formulation sums, bit for bit. At 48 output
+        # channels BLAS would sum a transposed grad_x GEMM in another order;
+        # at one, NumPy's matrix-vector grad_w would sum permuted columns in
+        # another order.
+        layer = QuantConv2d(8, oc, 3, padding=1, rng=np.random.default_rng(4))
+        layer.act_step, layer.weight_step = 1 / 16, 1 / 8
+        if name is not None:
+            layer.set_multiplier(get_multiplier(name), GE_MODEL)
+        x = Tensor(rng.normal(size=(4, 8, 6, 6)).astype(np.float32), requires_grad=True)
+        out = layer(x)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(g)
+
+        xq, x_mask = _quantize_codes(x.data, 1 / 16, 8)
+        wq, w_mask = _quantize_codes(layer.weight.data, 1 / 8, 4)
+        cols, _ = im2col(xq, (3, 3), 1, 1)
+        y_exact = cols.astype(np.int64) @ wq.reshape(oc, -1).T.astype(np.int64)
+        scale = _gradient_scale(layer.error_model, y_exact)
+        g2 = g.transpose(0, 2, 3, 1).reshape(-1, oc) * scale
+        x_fq = cols.astype(np.float32) * np.float32(1 / 16)
+        w_fq = wq.reshape(oc, -1).astype(np.float32) * np.float32(1 / 8)
+        grad_w = (g2.T @ x_fq).reshape(wq.shape) * w_mask
+        grad_x = col2im(g2 @ w_fq, x.shape, (3, 3), 1, 1) * x_mask
+        assert layer.weight.grad.tobytes() == grad_w.tobytes()
+        assert x.grad.tobytes() == grad_x.tobytes()
 
 
 class TestRevalidation:
