@@ -7,7 +7,10 @@ and calibration call it. The quantized convolution unfolds its codes
 once, as float32 in ``(kh, kw, c)`` order (:func:`unfold_nhwc`); a
 planned one unfolds gathered LUT products through the same padded-NHWC
 and window-copy helpers (:meth:`repro.approx.plan.GemmPlan.execute_conv`).
-Every gradient folds back through :func:`col2im`.
+Every GEMM gradient folds back through :func:`col2im`. A depthwise
+convolution, float or quantized, is no GEMM: :func:`depthwise_conv` and
+:func:`depthwise_conv_grads` run einsums over :func:`sliding_windows` and
+fold its input gradient per kernel offset.
 
 Each call pads into a fresh buffer (``im2col``) or accumulates
 into one (``col2im``). Pooling these buffers per shape measured no
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.errors import ShapeError
 from repro.obs import trace as tr
@@ -98,24 +101,9 @@ def im2col(
     Returns ``(cols, (oh, ow))`` where ``cols`` has shape
     ``(N*OH*OW, C*KH*KW)`` — one row per output pixel, one column per weight.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"im2col expects NCHW input, got ndim={x.ndim}")
     with tr.span("autograd.im2col", nbytes=x.nbytes):
-        n, c, h, w = x.shape
-        kh, kw = kernel
-        oh = conv_out_size(h, kh, stride, padding)
-        ow = conv_out_size(w, kw, stride, padding)
-        if padding > 0:
-            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-            padded[:, :, padding : padding + h, padding : padding + w] = x
-            x = padded
-        sn, sc, sh, sw = x.strides
-        windows = as_strided(
-            x,
-            shape=(n, c, oh, ow, kh, kw),
-            strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-            writeable=False,
-        )
+        windows = sliding_windows(x, kernel, stride, padding)
+        n, c, oh, ow, kh, kw = windows.shape
         cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
         return np.ascontiguousarray(cols), (oh, ow)
 
@@ -136,16 +124,23 @@ def col2im(
     if cols.shape != expected:
         raise ShapeError(f"col2im expected cols of shape {expected}, got {cols.shape}")
     with tr.span("autograd.col2im", nbytes=cols.nbytes):
-        cols6 = cols.reshape(n, oh, ow, c, kh, kw)
-        dx = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                    cols6[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                )
-        if padding > 0:
-            dx = dx[:, :, padding : padding + h, padding : padding + w]
-        return np.ascontiguousarray(dx)
+        cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        terms = (cols6[..., i, j] for i in range(kh) for j in range(kw))
+        return _fold(terms, x_shape, kernel, stride, padding, cols.dtype)
+
+
+def _fold(terms, x_shape, kernel, stride: int, padding: int, dtype) -> np.ndarray:
+    """Add the kernel offsets' ``(N, C, OH, OW)`` terms, given in ``(i, j)``
+    order, into the positions each read of a zero-padded input; crop it."""
+    n, c, h, w = x_shape
+    oh = conv_out_size(h, kernel[0], stride, padding)
+    ow = conv_out_size(w, kernel[1], stride, padding)
+    dx = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
+    for (i, j), term in zip(np.ndindex(*kernel), terms):
+        dx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += term
+    if padding > 0:
+        dx = dx[:, :, padding : padding + h, padding : padding + w]
+    return np.ascontiguousarray(dx)
 
 
 def nhwc_padded(x: np.ndarray, kernel, stride: int, padding: int, dtype, shift: int = 0):
@@ -198,20 +193,38 @@ def sliding_windows(
 ) -> np.ndarray:
     """Read-only sliding windows of shape ``(N, C, OH, OW, KH, KW)``.
 
-    Used by the depthwise-convolution fast path and by pooling layers.
+    The windows of :func:`im2col`, the depthwise convolution and pooling;
+    a padded input is copied once into a zero-bordered buffer.
     """
     if x.ndim != 4:
-        raise ShapeError(f"sliding_windows expects NCHW input, got ndim={x.ndim}")
+        raise ShapeError(f"expected NCHW input, got ndim={x.ndim}")
     n, c, h, w = x.shape
-    kh, kw = kernel
-    oh = conv_out_size(h, kh, stride, padding)
-    ow = conv_out_size(w, kw, stride, padding)
+    conv_out_size(h, kernel[0], stride, padding)  # rejects a bad geometry
+    conv_out_size(w, kernel[1], stride, padding)
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    sn, sc, sh, sw = x.strides
-    return as_strided(
-        x,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
+    return sliding_window_view(x, kernel, axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def depthwise_conv(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0):
+    """Depthwise convolution of NCHW ``x`` with one ``(KH, KW)`` filter per
+    channel (``w`` is ``(C, KH, KW)``): an einsum over its sliding windows."""
+    with tr.span("autograd.depthwise", nbytes=x.nbytes):
+        windows = sliding_windows(x, w.shape[1:], stride, padding)
+        return np.einsum("nchwij,cij->nchw", windows, w, optimize=True)
+
+
+def depthwise_conv_grads(
+    grad: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(grad_x, grad_w)`` of :func:`depthwise_conv` for its output gradient
+    ``grad``. ``grad_w`` is an einsum over the windows; ``grad_x`` folds
+    ``grad · w[:, i, j]`` per kernel offset, the loop :func:`col2im` runs."""
+    with tr.span("autograd.depthwise_grad", nbytes=grad.nbytes):
+        windows = sliding_windows(x, w.shape[1:], stride, padding)
+        grad_w = np.einsum("nchw,nchwij->cij", grad, windows, optimize=True)
+        (kh, kw), dtype = w.shape[1:], np.result_type(grad, w)
+        terms = (grad * w[:, i, j, None, None] for i in range(kh) for j in range(kw))
+        return _fold(terms, x.shape, (kh, kw), stride, padding, dtype), grad_w

@@ -10,6 +10,8 @@ from repro.autograd.im2col import (
     check_conv_operands,
     col2im,
     conv_out_size,
+    depthwise_conv,
+    depthwise_conv_grads,
     diagonal_blocks,
     im2col,
     sliding_windows,
@@ -66,9 +68,10 @@ class Conv2dOp(Function):
     """Float convolution computed as an im2col GEMM.
 
     ``weight`` has shape ``(out_channels, in_channels/groups, kh, kw)``.
-    Depthwise (groups == in_channels) takes a fully vectorised windowed
-    path; any other grouped convolution runs as the dense one of its
-    block-diagonal weights (:func:`~repro.autograd.im2col.block_diagonal`).
+    A depthwise convolution (one filter per input channel) runs
+    :func:`~repro.autograd.im2col.depthwise_conv`; any other grouped
+    convolution runs as the dense one of its block-diagonal weights
+    (:func:`~repro.autograd.im2col.block_diagonal`).
     """
 
     def forward(self, x, weight, bias, stride: int = 1, padding: int = 0, groups: int = 1):
@@ -76,7 +79,7 @@ class Conv2dOp(Function):
         check_conv_operands(x, weight, groups)
         n, c, h, w = x.shape
         oc, cg, kh, kw = weight.shape
-        self.depthwise = groups != 1 and groups == c and cg == 1
+        self.depthwise = groups != 1 and groups == c and cg == 1 and oc == c
         if groups != 1 and not self.depthwise:
             weight = block_diagonal(weight, groups)
         self.x_shape = x.shape
@@ -87,15 +90,8 @@ class Conv2dOp(Function):
         ow = conv_out_size(w, kw, stride, padding)
 
         if self.depthwise:
-            # Depthwise fast path: one filter (per output-channel multiplier m)
-            # slides over its own input channel.
-            m = oc // c
-            windows = sliding_windows(x, (kh, kw), stride, padding)  # (N,C,OH,OW,KH,KW)
-            self.windows = windows
-            wdw = weight.reshape(c, m, kh, kw)
-            # out[n, c, m, oh, ow] = sum_{kh,kw} windows * wdw
-            out = np.einsum("nchwij,cmij->ncmhw", windows, wdw, optimize=True)
-            out = out.reshape(n, oc, oh, ow)
+            self.x = x
+            out = depthwise_conv(x, weight.reshape(c, kh, kw), stride, padding)
         else:
             cols, _ = im2col(x, (kh, kw), stride, padding)  # (N*OH*OW, C*KH*KW)
             self.cols = cols
@@ -115,15 +111,10 @@ class Conv2dOp(Function):
         grad_b = grad_out.sum(axis=(0, 2, 3)) if self.has_bias else None
 
         if self.depthwise:
-            m = oc // c
-            g5 = grad_out.reshape(n, c, m, oh, ow)
-            grad_w = np.einsum("ncmhw,nchwij->cmij", g5, self.windows, optimize=True)
-            grad_w = grad_w.reshape(oc, 1, kh, kw)
-            wdw = self.weight.reshape(c, m, kh, kw)
-            # grad wrt windows, then fold back with col2im per channel.
-            grad_windows = np.einsum("ncmhw,cmij->nchwij", g5, wdw, optimize=True)
-            cols = grad_windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-            grad_x = col2im(cols, self.x_shape, (kh, kw), stride, padding)
+            grad_x, grad_w = depthwise_conv_grads(
+                grad_out, self.x, self.weight.reshape(c, kh, kw), stride, padding
+            )
+            grad_w = grad_w.reshape(self.weight.shape)
         else:
             g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
             grad_w = _float_matmul(g2.T, self.cols).reshape(self.weight.shape)

@@ -8,7 +8,10 @@ rescale by the product of step sizes and add the float bias.
 Both Functions run one conv kernel (:func:`_conv_forward`): a linear layer
 is a 1×1 convolution, and a grouped one is the dense convolution of its
 block-diagonal weights, whose zero codes add exactly 0 to every integer
-sum. Only depthwise convolutions keep their own LUT window sum.
+sum. A depthwise convolution runs the float ``Conv2d``'s depthwise helpers
+on codes (exact forward, GE's exact output) and fake-quantized operands
+(backward); only its approximate forward, one LUT ``take`` per kernel
+offset (:func:`_lut_depthwise`), is its own.
 
 The backward pass implements:
 
@@ -54,6 +57,7 @@ from repro.approx.plan import (
     GemmPlan,
     LayerKernelState,
     build_plan,
+    check_magnitude,
     conv_plan_operand,
     plan_caching_enabled,
     repair_plan,
@@ -65,12 +69,15 @@ from repro.autograd.im2col import (
     check_conv_operands,
     col2im,
     conv_out_size,
+    depthwise_conv,
+    depthwise_conv_grads,
     diagonal_blocks,
     sliding_windows,
     unfold_nhwc,
 )
 from repro.errors import QuantizationError, ShapeError
 from repro.ge.error_model import PiecewiseLinearErrorModel
+from repro.obs import trace as tr
 from repro.quant.quantizer import qrange
 
 
@@ -131,6 +138,26 @@ def _gradient_scale(
     return error_model.gradient_scale(y_exact).astype(np.float32)
 
 
+def _lut_depthwise(
+    xq: np.ndarray, w3: np.ndarray, stride: int, padding: int, multiplier: Multiplier
+) -> np.ndarray:
+    """The approximate depthwise convolution of codes ``xq`` with filters ``w3``
+    ``(C, KH, KW)``: per kernel offset, one ``take`` from the flattened signed
+    LUT at ``row(x + xhi) + (w + whi)``, summed exactly in float32. Padding is code 0."""
+    with tr.span("approx.lut_gather", nbytes=xq.nbytes):
+        slut = multiplier.signed_lut_f32()
+        (xdim, wdim), (kh, kw) = slut.shape, w3.shape[1:]
+        check_magnitude(xq, xdim // 2, multiplier.name, "a")
+        check_magnitude(w3, wdim // 2, multiplier.name, "b")
+        rows = sliding_windows(np.multiply(xq, wdim, dtype=np.intp), (kh, kw), stride, padding)
+        cols = w3.astype(np.intp) + (xdim // 2 * wdim + wdim // 2)
+        y = np.zeros(rows.shape[:4], dtype=np.float32)
+        for i in range(kh):
+            for j in range(kw):
+                y += slut.take(rows[..., i, j] + cols[:, i, j, None, None])
+        return y
+
+
 def _weight_state(
     weight: np.ndarray,
     w_step_col: np.ndarray,
@@ -144,7 +171,7 @@ def _weight_state(
 
     Served from ``plan_cache`` when the layer has one. This holds the one
     revalidate/repair hook of every quantized layer. Depthwise layers run
-    a LUT window sum, not a GEMM, so they cache only the codes.
+    no GEMM, so they cache only the codes.
     """
 
     def quantize():
@@ -233,51 +260,33 @@ def _conv_forward(
     rescale_col = np.float32(fn.act_step) * fn.w_step_col  # (OC,)
 
     if fn.depthwise:
-        windows = sliding_windows(xq, (kh, kw), stride, padding)
-        fn.windows = windows
-        w4 = wq.reshape(c, kh, kw)
+        fn.xq, w3 = xq, wq.reshape(c, kh, kw)
 
-        def _exact_depthwise():
-            # Products are < 2^10 and the window sum has <= kh*kw terms,
-            # so float32 accumulation is exact here.
-            acc = np.einsum(
-                "nchwij,cij->nchw",
-                windows.astype(np.float32),
-                w4.astype(np.float32),
-                optimize=True,
-            )
-            return np.rint(acc).astype(np.int64)
+        def exact_y():  # integer sums far below 2^24: exact in float32
+            return depthwise_conv(xq.astype(np.float32), w3.astype(np.float32), stride, padding)
 
-        if exact:
-            y_int = _exact_depthwise()
-            y_exact = y_int if need_exact else None
-        else:
-            xhi = 2 ** (act_bits - 1) - 1
-            whi = 2 ** (w_bits - 1) - 1
-            slut = multiplier.signed_lut()
-            prods = slut[windows + xhi, w4[None, :, None, None] + whi]
-            y_int = prods.sum(axis=(4, 5), dtype=np.int64)
-            y_exact = _exact_depthwise() if need_exact else None
-        fn.scale = _gradient_scale(error_model, y_exact)
-        out = y_int.astype(np.float32) * rescale_col[None, :, None, None]
+        y = exact_y() if exact else _lut_depthwise(xq, w3, stride, padding, multiplier)
+        out = y * rescale_col[None, :, None, None]
     else:
         # One float32 unfold serves every reader of the columns.
         fn.cols = None
         if is_grad_enabled() or state.plan is None:
             fn.cols = unfold_nhwc(xq, (kh, kw), stride, padding)
             w_op, a_max = conv_plan_operand(wq), qrange(act_bits)[1]
+
+        def exact_y():
+            return exact_int_matmul(fn.cols, w_op, a_max)
+
         if state.plan is not None:
             y = state.plan.execute_conv(xq, (kh, kw), stride, padding)
         elif exact:
-            y = exact_int_matmul(fn.cols, w_op, a_max)
+            y = exact_y()
         else:
             y = approx_matmul(fn.cols.astype(np.int32), w_op, multiplier)
-        y_exact = None
-        if need_exact:
-            y_exact = y if exact else exact_int_matmul(fn.cols, w_op, a_max)
-        fn.scale = _gradient_scale(error_model, y_exact)
         out = y.astype(np.float32, copy=False) * rescale_col[None, :]
         out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
+    y_exact = (y if exact else exact_y()) if need_exact else None
+    fn.scale = _gradient_scale(error_model, y_exact)
 
     if fn.has_bias:
         out = out + np.asarray(bias).reshape(1, oc, 1, 1)
@@ -297,14 +306,10 @@ def _conv_backward(fn: Function, grad_out: np.ndarray) -> tuple:
     grad_b = grad_out.sum(axis=(0, 2, 3)) if fn.has_bias else None
 
     if fn.depthwise:
-        g4 = grad_out * fn.scale  # (N, C, OH, OW)
-        win_fq = fn.windows.astype(np.float32) * sx
+        x_fq = fn.xq.astype(np.float32) * sx
         w_fq = fn.wq.reshape(c, kh, kw).astype(np.float32) * sw_col[:, None, None]
-        grad_w = np.einsum("nchw,nchwij->cij", g4, win_fq, optimize=True)
+        grad_x, grad_w = depthwise_conv_grads(grad_out * fn.scale, x_fq, w_fq, stride, padding)
         grad_w = grad_w.reshape(fn.wq.shape)
-        grad_windows = np.einsum("nchw,cij->nchwij", g4, w_fq, optimize=True)
-        cols = grad_windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-        grad_x = col2im(cols, fn.x_shape, (kh, kw), stride, padding)
     else:
         g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc) * fn.scale
         x_fq = fn.cols * sx
@@ -368,9 +373,10 @@ class QuantConv2dFunction(Function):
     A dense convolution gathers before unfolding when planned
     (:meth:`~repro.approx.plan.GemmPlan.execute_conv`), otherwise runs
     the GEMM on its float32 columns. The depthwise case (``groups ==
-    in_channels`` with one filter per channel) is a vectorised LUT window
-    sum; any other grouped convolution runs as the dense one of its
-    block-diagonal weights (:func:`~repro.autograd.im2col.block_diagonal`).
+    in_channels == out_channels``) runs the float convolution's depthwise
+    helpers on codes, or sums LUT products per kernel offset; any other
+    grouped convolution runs as the dense one of its block-diagonal weights
+    (:func:`~repro.autograd.im2col.block_diagonal`).
     """
 
     def forward(

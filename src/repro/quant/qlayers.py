@@ -20,6 +20,7 @@ from repro.approx.multiplier import Multiplier
 from repro.approx.plan import PlanCache
 from repro.approx.registry import as_multiplier
 from repro.autograd.im2col import check_groups, im2col
+from repro.autograd.ops_matmul import conv2d, linear
 from repro.autograd.tensor import Tensor
 from repro.errors import QuantizationError
 from repro.ge.error_model import PiecewiseLinearErrorModel
@@ -116,7 +117,23 @@ class _QuantGemmLayer(Module):
         return float(np.mean(self.weight_step))
 
     def _weight_data(self) -> np.ndarray:
-        raise NotImplementedError
+        return self.weight.data
+
+    def forward(self, x: Tensor) -> Tensor:
+        """Float with observers while calibrating, else the quantized path;
+        a training forward also feeds ``output_collector``."""
+        if self.calibrating:
+            data = x.data if isinstance(x, Tensor) else np.asarray(x)
+            self._act_observer.observe(data)
+            if isinstance(self._weight_observer, MinPropQEObserver):
+                self._weight_observer.observe_inputs(self._gemm_inputs(data))
+            return self._float_forward(x)
+        self._require_calibrated()
+        out = self._quantized_forward(x, *self._plan_state())
+        if self.output_collector is not None and self.training:
+            inv_step = 1.0 / (self.act_step * self._mean_weight_step())
+            self.output_collector.append((out, inv_step))
+        return out
 
     @property
     def is_calibrated(self) -> bool:
@@ -201,20 +218,18 @@ class QuantConv2d(_QuantGemmLayer):
             q.bias.data = conv.bias.data.copy()
         return q
 
-    def _weight_data(self) -> np.ndarray:
-        return self.weight.data
+    def _float_forward(self, x: Tensor) -> Tensor:
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.calibrating:
-            self._observe(x)
-            from repro.autograd import ops_matmul
+    def _gemm_inputs(self, data: np.ndarray) -> np.ndarray:
+        # Per-group propagation; the first group is a representative sample
+        # for the step search.
+        cg = self.in_channels // self.groups
+        kernel = (self.kernel_size, self.kernel_size)
+        return im2col(data[:, :cg], kernel, self.stride, self.padding)[0]
 
-            return ops_matmul.conv2d(
-                x, self.weight, self.bias, self.stride, self.padding, self.groups
-            )
-        self._require_calibrated()
-        plan_cache, plan_key = self._plan_state()
-        out = QuantConv2dFunction.apply(
+    def _quantized_forward(self, x: Tensor, plan_cache: PlanCache, plan_key: tuple) -> Tensor:
+        return QuantConv2dFunction.apply(
             x,
             self.weight,
             self.bias,
@@ -230,24 +245,6 @@ class QuantConv2d(_QuantGemmLayer):
             plan_cache=plan_cache,
             plan_key=plan_key,
         )
-        if self.output_collector is not None and self.training:
-            inv_step = 1.0 / (self.act_step * self._mean_weight_step())
-            self.output_collector.append((out, inv_step))
-        return out
-
-    def _observe(self, x: Tensor) -> None:
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        self._act_observer.observe(data)
-        if isinstance(self._weight_observer, MinPropQEObserver):
-            kernel = (self.kernel_size, self.kernel_size)
-            if self.groups == 1:
-                cols, _ = im2col(data, kernel, self.stride, self.padding)
-            else:
-                # Per-group propagation; the first group is a representative
-                # sample for the step search.
-                cg = self.in_channels // self.groups
-                cols, _ = im2col(data[:, :cg], kernel, self.stride, self.padding)
-            self._weight_observer.observe_inputs(cols)
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = self.multiplier.name if self.multiplier else "exact"
@@ -290,21 +287,14 @@ class QuantLinear(_QuantGemmLayer):
             q.bias.data = linear.bias.data.copy()
         return q
 
-    def _weight_data(self) -> np.ndarray:
-        return self.weight.data
+    def _float_forward(self, x: Tensor) -> Tensor:
+        return linear(x, self.weight, self.bias)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.calibrating:
-            data = x.data if isinstance(x, Tensor) else np.asarray(x)
-            self._act_observer.observe(data)
-            if isinstance(self._weight_observer, MinPropQEObserver):
-                self._weight_observer.observe_inputs(data)
-            from repro.autograd import ops_matmul
+    def _gemm_inputs(self, data: np.ndarray) -> np.ndarray:
+        return data
 
-            return ops_matmul.linear(x, self.weight, self.bias)
-        self._require_calibrated()
-        plan_cache, plan_key = self._plan_state()
-        out = QuantLinearFunction.apply(
+    def _quantized_forward(self, x: Tensor, plan_cache: PlanCache, plan_key: tuple) -> Tensor:
+        return QuantLinearFunction.apply(
             x,
             self.weight,
             self.bias,
@@ -317,10 +307,6 @@ class QuantLinear(_QuantGemmLayer):
             plan_cache=plan_cache,
             plan_key=plan_key,
         )
-        if self.output_collector is not None and self.training:
-            inv_step = 1.0 / (self.act_step * self._mean_weight_step())
-            self.output_collector.append((out, inv_step))
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = self.multiplier.name if self.multiplier else "exact"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.errors import QuantizationError, ShapeError
+from repro.errors import MultiplierError, QuantizationError, ShapeError
 from repro.nn import Conv2d
-from repro.quant import QuantConv2d
+from repro.quant import QConfig, QuantConv2d
 from repro.quant.qfunction import (
     QuantConv2dFunction,
     QuantLinearFunction,
@@ -34,6 +34,16 @@ class TestQuantLinearValidation:
 
 
 class TestQuantConvValidation:
+    def test_depthwise_codes_wider_than_the_lut_raise(self, rng):
+        # 8-bit weight codes cannot index truncated5's 4-bit weight axis;
+        # the dense kernel rejects them the same way.
+        qconfig = QConfig(weight_bits=8)
+        layer = QuantConv2d(4, 4, 3, padding=1, groups=4, qconfig=qconfig, rng=rng)
+        layer.act_step, layer.weight_step = 0.1, 1 / 64
+        layer.set_multiplier("truncated5")
+        with pytest.raises(MultiplierError):
+            layer(Tensor(rng.normal(size=(1, 4, 5, 5)).astype(np.float32)))
+
     def test_rejects_inconsistent_groups(self, rng):
         x = Tensor(rng.normal(size=(1, 4, 6, 6)).astype(np.float32))
         w = Tensor(rng.normal(size=(4, 4, 3, 3)).astype(np.float32))
