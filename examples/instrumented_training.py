@@ -49,7 +49,7 @@ from repro.obs import (
 )
 from repro.obs import metrics as met
 from repro.obs import trace as tr
-from repro.parallel import ParallelConfig, map_workers
+from repro.parallel import map_workers
 from repro.pipeline import quantization_stage
 from repro.quant import QuantConv2d, QuantLinear
 from repro.sim import attach_multiplier, evaluate_accuracy
@@ -101,7 +101,7 @@ def main() -> None:
                     map_workers(
                         fit_one,
                         ["truncated4", "mitchell"],
-                        ParallelConfig(workers=2, backend="process"),
+                        workers=2,
                     )
                 )
 

@@ -47,7 +47,7 @@ from repro.models import create_model
 from repro.obs import events as obs_events
 from repro.obs import metrics as met
 from repro.obs import trace as tr
-from repro.parallel import ParallelConfig, fork_available, map_workers
+from repro.parallel import fork_available, map_workers
 from repro.quant import calibrate_model, quantize_model
 from repro.sim import attach_multiplier, evaluate_accuracy
 
@@ -146,7 +146,7 @@ def check_trace(out_dir: Path) -> dict:
             map_workers(
                 fit_one,
                 ["truncated4", "mitchell"],
-                ParallelConfig(workers=2, backend="process"),
+                workers=2,
             )
         met.emit_snapshot(log, scope="final")
         log.run_end(status="ok")

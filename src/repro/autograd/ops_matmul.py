@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.autograd.function import Function
 from repro.autograd.im2col import (
+    _fold,
     block_diagonal,
     check_conv_operands,
     col2im,
@@ -137,14 +140,9 @@ class AvgPool2d(Function):
         return windows.mean(axis=(4, 5))
 
     def backward(self, grad_out):
-        n, c, h, w = self.x_shape
-        k, s = self.kernel, self.stride
-        oh, ow = self.out_spatial
-        grad_x = np.zeros(self.x_shape, dtype=grad_out.dtype)
-        scaled = grad_out / (k * k)
-        for i in range(k):
-            for j in range(k):
-                grad_x[:, :, i : i + s * oh : s, j : j + s * ow : s] += scaled
+        k = self.kernel
+        terms = itertools.repeat(grad_out / (k * k), k * k)
+        grad_x = _fold(terms, self.x_shape, (k, k), self.stride, 0, grad_out.dtype)
         return (grad_x, None, None)
 
 

@@ -37,9 +37,6 @@ __all__ = [
     "KNOBS",
     "config_scope",
     "configure",
-    "configured",
-    "describe",
-    "env_var",
     "knob_names",
     "perf_env_vars",
     "resolve",
@@ -237,13 +234,6 @@ def configure(**knobs: Any) -> dict[str, Any]:
     return previous
 
 
-def configured(name: str) -> Any:
-    """The :func:`configure`-tier override for ``name`` (``None`` if unset)."""
-    _knob(name)
-    with _lock:
-        return _configured.get(name)
-
-
 def set_cli_overrides(overrides: dict[str, Any] | None) -> dict[str, Any]:
     """Replace the CLI-flag tier wholesale; returns the previous mapping.
 
@@ -289,11 +279,6 @@ class config_scope:
                 pass
 
 
-def env_var(name: str) -> str:
-    """The environment variable backing knob ``name``."""
-    return _knob(name).env
-
-
 def knob_names() -> list[str]:
     """Sorted names of every registered knob."""
     return sorted(KNOBS)
@@ -302,29 +287,3 @@ def knob_names() -> list[str]:
 def perf_env_vars() -> tuple[str, ...]:
     """Environment variables stamped into run/benchmark provenance."""
     return tuple(KNOBS[name].env for name in sorted(KNOBS))
-
-
-def describe() -> list[dict]:
-    """One row per knob: name, env var, default and effective value.
-
-    Purely informational (the CLI's config table and the docs use it);
-    malformed environment values surface as the error text instead of
-    aborting the listing.
-    """
-    rows = []
-    for name in sorted(KNOBS):
-        knob = KNOBS[name]
-        try:
-            effective = resolve(name)
-        except ConfigError as exc:
-            effective = f"<error: {exc}>"
-        rows.append(
-            {
-                "knob": name,
-                "env": knob.env,
-                "default": knob.default,
-                "effective": effective,
-                "doc": knob.doc,
-            }
-        )
-    return rows

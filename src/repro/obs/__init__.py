@@ -85,7 +85,6 @@ from repro.obs.trace import (
     TraceContext,
     TraceRecorder,
     adopt_context,
-    call_with_parent,
     current_span_id,
     disable_tracing,
     drain_spans,
@@ -169,7 +168,6 @@ __all__ = [
     "trace_context",
     "adopt_context",
     "drain_spans",
-    "call_with_parent",
     "to_chrome_trace",
     "write_chrome_trace",
     "read_chrome_trace",

@@ -427,22 +427,6 @@ def drain_spans() -> list[SpanRecord]:
     return spans
 
 
-def call_with_parent(parent_id: str | None, fn, *args):
-    """Run ``fn(*args)`` with ``parent_id`` as this thread's span parent.
-
-    The thread-backend analogue of :func:`adopt_context`: pool threads
-    share the parent's recorder, but their span stacks start empty, so
-    the dispatch-site parent is installed for the duration of the task.
-    """
-    previous = getattr(_local, "inherited", None)
-    _local.inherited = parent_id
-    try:
-        with span("parallel.task"):
-            return fn(*args)
-    finally:
-        _local.inherited = previous
-
-
 # ----------------------------------------------------------------------
 # export
 # ----------------------------------------------------------------------

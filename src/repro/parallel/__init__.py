@@ -2,31 +2,26 @@
 
 See ``docs/PERFORMANCE.md``. Entry points:
 
-- :class:`ParallelConfig` / :func:`map_workers` — the executor layer used
-  by ``run_sweep(workers=...)`` (the CLI's ``sweep --workers``);
-- :func:`fork_available` / :func:`resolve_backend` — platform probing.
+- :func:`map_workers` — the one fan-out, used by
+  ``run_sweep(workers=...)`` (the CLI's ``sweep --workers``): inline for
+  one worker, a fork process pool otherwise;
+- :func:`amortized_workers` / :func:`cpu_parallelism` /
+  :func:`force_parallel` — the can-it-amortize guard and its knobs;
+- :func:`fork_available` — platform probing.
 """
 
 from repro.parallel.executor import (
-    BACKENDS,
-    ParallelConfig,
     amortized_workers,
     cpu_parallelism,
     force_parallel,
     fork_available,
     map_workers,
-    persistent_executor,
-    resolve_backend,
 )
 
 __all__ = [
-    "BACKENDS",
-    "ParallelConfig",
     "amortized_workers",
     "cpu_parallelism",
     "force_parallel",
     "fork_available",
     "map_workers",
-    "persistent_executor",
-    "resolve_backend",
 ]

@@ -38,12 +38,7 @@ from repro.nn.module import Module
 from repro.obs import events as obs_events
 from repro.obs import metrics as met
 from repro.obs import trace as tr
-from repro.parallel import (
-    ParallelConfig,
-    amortized_workers,
-    map_workers,
-    resolve_backend,
-)
+from repro.parallel import amortized_workers, map_workers
 from repro.pipeline.algorithm1 import METHODS, approximation_stage
 from repro.resilience.retry import FailureRecord, call_with_retry
 from repro.sim.proxsim import resolve_multiplier
@@ -204,7 +199,7 @@ def _failed_point(cell: _Cell, failure: FailureRecord) -> SweepPoint:
 def _run_cell(context: _CellContext, cell: _Cell) -> SweepPoint:
     """Execute one resolved grid cell behind the fault-isolation boundary.
 
-    Module-level so the process backend can pickle it; events emitted here
+    Module-level so the process pool can pickle it; events emitted here
     land on the worker's captured log and are merged back by the parent.
     """
     log = obs_events.get_event_log()
@@ -337,7 +332,9 @@ def run_sweep(
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     train_config = train_config or TrainConfig()
-    parallel_config = ParallelConfig(workers=1 if workers is None else workers)
+    workers = 1 if workers is None else workers
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     log = obs_events.get_event_log()
     if prefilter is not None:
         from repro.ge.zoo import prefilter_multipliers
@@ -355,7 +352,7 @@ def run_sweep(
             "epochs": train_config.epochs,
             "batch_size": train_config.batch_size,
             "lr": train_config.lr,
-            "workers": parallel_config.workers,
+            "workers": workers,
             "prefilter": prefilter,
         }
     )
@@ -383,31 +380,18 @@ def run_sweep(
             result.to_json(state_path)
         met.emit_snapshot(scope="sweep_cell", cell=cell.key)
 
-    context = _CellContext(quant_model, data, train_config, rng, retries)
-    # Fan-out cannot amortise on a single usable CPU or a near-empty grid
-    # (docs/PERFORMANCE.md); fall back to the inline loop.
-    serial = (
-        resolve_backend(parallel_config) == "serial"
-        or amortized_workers(parallel_config.workers, tasks=len(pending)) <= 1
-    )
-    if serial:
-        for cell in pending:
-            if cell.resolve_failure is not None:
-                record(cell, _failed_point(cell, cell.resolve_failure))
-            else:
-                record(cell, _run_cell(context, cell))
-        return result
-
-    # Parallel: broken-multiplier cells materialise instantly in the
-    # parent; resolved cells fan out, persisting as each one completes.
-    runnable = [cell for cell in pending if cell.resolve_failure is None]
+    # Broken-multiplier cells materialise instantly in the parent; the
+    # rest fan out, persisting as each one completes. Fan-out cannot
+    # amortise on a single usable CPU or a near-empty grid
+    # (docs/PERFORMANCE.md), where map_workers runs the cells inline.
     for cell in pending:
         if cell.resolve_failure is not None:
             record(cell, _failed_point(cell, cell.resolve_failure))
+    runnable = [cell for cell in pending if cell.resolve_failure is None]
     map_workers(
-        partial(_run_cell, context),
+        partial(_run_cell, _CellContext(quant_model, data, train_config, rng, retries)),
         runnable,
-        parallel_config,
+        amortized_workers(workers, len(runnable)),
         on_result=lambda position, point: record(runnable[position], point),
     )
     return result

@@ -2,7 +2,9 @@
 
 Architecture (``docs/SERVING.md``): a :class:`Server` owns one bounded
 :class:`~repro.serve.batching.RequestQueue` and ``replicas`` worker
-threads on the :func:`repro.parallel.persistent_executor`. Each replica
+threads on one ``ThreadPoolExecutor`` (inference is BLAS-dominated and
+the GEMM releases the GIL, so threads scale while sharing the event log,
+metrics registry and trace recorder directly). Each replica
 holds its own ``deepcopy`` of the model — plan caches deepcopy *empty*
 by design, so every replica builds warm, private
 :class:`~repro.approx.plan.PlanCache` entries on first forward and the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,7 @@ from repro.nn.module import Module
 from repro.obs import events as obs_events
 from repro.obs import metrics as met
 from repro.obs import trace as tr
-from repro.parallel import cpu_parallelism, persistent_executor
+from repro.parallel import cpu_parallelism
 from repro.serve.batching import Request, RequestQueue
 from repro.utils.serialization import load_model_arrays, model_state_arrays
 
@@ -168,8 +170,8 @@ class Server:
             with no_grad():
                 for replica in self._replicas:
                     replica.model(Tensor(batch))
-        self._pool = persistent_executor(
-            self.config.replicas, thread_name_prefix="repro-serve"
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.config.replicas, thread_name_prefix="repro-serve"
         )
         self._worker_futures = [
             self._pool.submit(self._replica_loop, replica)

@@ -70,6 +70,10 @@ def _recording(report: MacReport):
 
         def patched(self, x):
             report.layers.append(counter(self, x.shape))
+            # An uncalibrated quantized layer runs in float, past its
+            # observers: the all-zero probe must not become calibration data.
+            if isinstance(self, (QuantConv2d, QuantLinear)) and not self.is_calibrated:
+                return self._float_forward(x)
             return original(self, x)
 
         return patched
@@ -89,23 +93,16 @@ def count_macs(model: Module, input_shape: tuple[int, int, int]) -> MacReport:
     """MACs per sample for ``input_shape = (channels, height, width)``.
 
     Works on float and quantized models alike. Calibration state is not
-    required: quantized layers are probed through their float fallback when
-    uncalibrated.
+    required, and is left untouched: uncalibrated quantized layers are
+    probed through their float fallback, past their observers.
     """
     report = MacReport(params=model.num_parameters())
     probe = Tensor(np.zeros((1, *input_shape), dtype=np.float32))
     was_training = model.training
     model.eval()
-    # Uncalibrated quantized layers can only run their calibration path.
-    quant = [m for m in model.modules() if isinstance(m, (QuantConv2d, QuantLinear))]
-    uncalibrated = [m for m in quant if not m.is_calibrated]
-    for m in uncalibrated:
-        m.calibrating = True
     try:
         with no_grad(), _recording(report):
             model(probe)
     finally:
-        for m in uncalibrated:
-            m.calibrating = False
         model.train(was_training)
     return report

@@ -136,6 +136,22 @@ class TestPooling:
         x = t64(rng.normal(size=(2, 3, 4, 4)))
         check_gradients(lambda x: avg_pool2d(x, 2), [x])
 
+    @pytest.mark.parametrize("kernel, stride", [(3, 2), (2, 3)], ids=["overlap", "gap"])
+    def test_avg_pool_grad_matches_strided_add_loop(self, rng, kernel, stride):
+        x = Tensor(rng.normal(size=(2, 3, 9, 7)).astype(np.float32), requires_grad=True)
+        out = avg_pool2d(x, kernel, stride=stride)
+        grad = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(grad)
+        # the per-offset strided-add loop the fold replaces, in (i, j) order
+        oh, ow = out.shape[2:]
+        expected = np.zeros(x.shape, dtype=np.float32)
+        for i in range(kernel):
+            for j in range(kernel):
+                expected[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
+                    grad / (kernel * kernel)
+                )
+        np.testing.assert_array_equal(x.grad, expected)
+
     def test_max_pool_value(self):
         x = Tensor(np.arange(16.0, dtype=np.float32).reshape(1, 1, 4, 4))
         out = max_pool2d(x, 2)

@@ -103,17 +103,9 @@ class TestThreads:
             t.start()
             t.join()
         spans = {s.name: s for s in tr.get_trace_recorder().spans()}
-        # the thread's root has no parent unless call_with_parent is used
+        # a new thread's root span does not inherit the spawning thread's span
         assert spans["thread_root"].parent_id is None
         assert spans["thread_root"].tid != spans["main_root"].tid
-
-    def test_call_with_parent_links_and_restores(self):
-        tr.enable_tracing()
-        with tr.span("dispatch") as d:
-            result = tr.call_with_parent(d._id, lambda v: v + 1, 41)
-        assert result == 42
-        spans = {s.name: s for s in tr.get_trace_recorder().spans()}
-        assert spans["parallel.task"].parent_id == spans["dispatch"].span_id
 
 
 class TestProfilingBridge:

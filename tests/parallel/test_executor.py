@@ -1,33 +1,21 @@
-"""The repro.parallel executor layer: ordering, determinism, capture."""
+"""The repro.parallel executor layer: ordering, inline fallback, capture."""
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.obs import events as obs_events
 from repro.obs import metrics as met
 from repro.obs import trace as tr
-from repro.parallel import (
-    BACKENDS,
-    ParallelConfig,
-    fork_available,
-    map_workers,
-    resolve_backend,
-)
+from repro.parallel import executor, fork_available, map_workers
 
 pytestmark = pytest.mark.parallel
 
-ALL_BACKENDS = pytest.mark.parametrize(
-    "backend", ["serial", "thread", "process"] if fork_available() else ["serial", "thread"]
-)
+# inline (one worker) and a fork process pool (inline, too, without fork)
+BOTH_PATHS = pytest.mark.parametrize("workers", [1, 4], ids=["serial", "process"])
 
 
-# module-level so the process backend can pickle them
+# module-level so the process pool can pickle them
 def _square(x):
     return x * x
-
-
-def _draw(x, rng):
-    return (x, float(rng.normal()))
 
 
 def _emit_and_time(x):
@@ -52,59 +40,42 @@ def events():
     obs_events.set_event_log(previous)
 
 
-class TestConfig:
-    def test_defaults_are_serial(self):
-        assert ParallelConfig().workers == 1
-        assert resolve_backend(ParallelConfig()) == "serial"
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ParallelConfig(workers=0)
-        with pytest.raises(ConfigError):
-            ParallelConfig(backend="gpu")
-        assert set(BACKENDS) >= {"auto", "process", "thread", "serial"}
-
-    def test_serial_backend_wins_over_workers(self):
-        assert resolve_backend(ParallelConfig(workers=8, backend="serial")) == "serial"
-
-
 class TestMapWorkers:
-    @ALL_BACKENDS
-    def test_results_in_item_order(self, backend):
-        config = ParallelConfig(workers=4, backend=backend)
-        assert map_workers(_square, range(9), config) == [x * x for x in range(9)]
-
-    @ALL_BACKENDS
-    def test_rng_spawning_is_schedule_independent(self, backend):
-        config = ParallelConfig(workers=4, backend=backend)
-        serial = map_workers(_draw, range(8), ParallelConfig(workers=1), rng=7)
-        assert map_workers(_draw, range(8), config, rng=7) == serial
-        # per-task streams are distinct
-        assert len({value for _, value in serial}) == 8
+    @BOTH_PATHS
+    def test_results_in_item_order(self, workers):
+        assert map_workers(_square, range(9), workers) == [x * x for x in range(9)]
 
     def test_on_result_sees_every_index(self):
         seen = {}
-        map_workers(
-            _square,
-            range(6),
-            ParallelConfig(workers=3, backend="thread"),
-            on_result=lambda i, v: seen.__setitem__(i, v),
-        )
+        map_workers(_square, range(6), 3, on_result=lambda i, v: seen.__setitem__(i, v))
         assert seen == {i: i * i for i in range(6)}
 
-    @ALL_BACKENDS
-    def test_exceptions_propagate(self, backend):
+    @BOTH_PATHS
+    def test_exceptions_propagate(self, workers):
         with pytest.raises(ValueError, match="injected"):
-            map_workers(_maybe_boom, range(4), ParallelConfig(workers=2, backend=backend))
+            map_workers(_maybe_boom, range(4), workers)
 
     def test_empty_items(self):
-        assert map_workers(_square, [], ParallelConfig(workers=4, backend="thread")) == []
+        assert map_workers(_square, [], 4) == []
+
+    def test_no_fork_runs_inline_in_item_order(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built without fork")
+
+        monkeypatch.setattr(executor, "fork_available", lambda: False)
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+        order = []
+        results = map_workers(
+            _square, range(5), 4, on_result=lambda i, v: order.append((i, v))
+        )
+        assert results == [x * x for x in range(5)]
+        assert order == [(x, x * x) for x in range(5)]
 
 
-@pytest.mark.skipif(not fork_available(), reason="process backend needs fork")
+@pytest.mark.skipif(not fork_available(), reason="the process pool needs fork")
 class TestWorkerCapture:
     def test_worker_events_merge_into_parent_log(self, events):
-        map_workers(_emit_and_time, range(5), ParallelConfig(workers=2, backend="process"))
+        map_workers(_emit_and_time, range(5), 2)
         evals = [r for r in events.records if r["type"] == "eval"]
         assert {r["name"] for r in evals} == {f"task{i}" for i in range(5)}
         assert all("worker" in r for r in evals)
@@ -117,16 +88,8 @@ class TestWorkerCapture:
         with met.collecting_metrics() as registry:
             met.disable_metrics()
             with tr.tracing(record=False, aggregate=True) as recorder:
-                map_workers(
-                    _emit_and_time, range(4), ParallelConfig(workers=2, backend="process")
-                )
+                map_workers(_emit_and_time, range(4), 2)
             assert len(recorder) == 0
         rows = {r["name"]: r for r in tr.profile_summary(registry)["timers"]}
         assert rows["executor.task"]["calls"] == 4
         assert rows["parallel.task"]["calls"] == 4
-
-    def test_capture_disabled_skips_merge(self, events):
-        config = ParallelConfig(workers=2, backend="process", capture_obs=False)
-        out = map_workers(_emit_and_time, range(3), config)
-        assert out == [0, 1, 2]
-        assert [r for r in events.records if r["type"] == "eval"] == []

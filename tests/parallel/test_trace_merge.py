@@ -6,12 +6,12 @@ import pytest
 
 from repro.obs import metrics as met
 from repro.obs import trace as tr
-from repro.parallel import ParallelConfig, fork_available, map_workers
+from repro.parallel import fork_available, map_workers
 
 pytestmark = [pytest.mark.obs, pytest.mark.parallel]
 
 needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process backend needs fork"
+    not fork_available(), reason="the process pool needs fork"
 )
 
 
@@ -43,7 +43,7 @@ class TestProcessBackendSpans:
             results = map_workers(
                 traced_work,
                 list(range(4)),
-                ParallelConfig(workers=2, backend="process"),
+                workers=2,
             )
         assert results == [0, 1, 4, 9]
 
@@ -74,7 +74,7 @@ class TestProcessBackendSpans:
             map_workers(
                 traced_work,
                 list(range(2)),
-                ParallelConfig(workers=2, backend="process"),
+                workers=2,
             )
         spans = tr.get_trace_recorder().spans()
         dispatch = next(s for s in spans if s.name == "dispatch")
@@ -84,18 +84,6 @@ class TestProcessBackendSpans:
             assert task.start_ns >= dispatch.start_ns
             assert task.end_ns <= dispatch.end_ns
 
-    @needs_fork
-    def test_capture_obs_false_ships_no_spans(self):
-        tr.enable_tracing()
-        with tr.span("dispatch"):
-            map_workers(
-                traced_work,
-                list(range(2)),
-                ParallelConfig(workers=2, backend="process", capture_obs=False),
-            )
-        names = [s.name for s in tr.get_trace_recorder().spans()]
-        assert "work.item" not in names
-
 
 class TestProcessBackendMetrics:
     @needs_fork
@@ -104,12 +92,12 @@ class TestProcessBackendMetrics:
         map_workers(
             traced_work,
             list(range(6)),
-            ParallelConfig(workers=2, backend="process"),
+            workers=2,
         )
         merged = met.get_metrics().snapshot()
 
         met.reset_metrics()
-        map_workers(traced_work, list(range(6)), ParallelConfig(workers=1))
+        map_workers(traced_work, list(range(6)), workers=1)
         serial = met.get_metrics().snapshot()
 
         assert merged["counters"]["work.items"] == 6
@@ -128,35 +116,6 @@ class TestProcessBackendMetrics:
         map_workers(
             traced_work,
             list(range(2)),
-            ParallelConfig(workers=2, backend="process"),
+            workers=2,
         )
         assert met.get_metrics().snapshot()["counters"] == {}
-
-
-class TestThreadBackend:
-    def test_thread_spans_parent_on_dispatch(self):
-        tr.enable_tracing()
-        with tr.span("dispatch"):
-            map_workers(
-                traced_work,
-                list(range(3)),
-                ParallelConfig(workers=2, backend="thread"),
-            )
-        spans = tr.get_trace_recorder().spans()
-        dispatch = next(s for s in spans if s.name == "dispatch")
-        tasks = [s for s in spans if s.name == "parallel.task"]
-        assert len(tasks) == 3
-        assert all(t.parent_id == dispatch.span_id for t in tasks)
-        # threads share the process: every span carries the parent pid
-        assert {s.pid for s in spans} == {os.getpid()}
-
-    def test_thread_metrics_record_directly(self):
-        met.enable_metrics()
-        map_workers(
-            traced_work,
-            list(range(5)),
-            ParallelConfig(workers=2, backend="thread"),
-        )
-        snap = met.get_metrics().snapshot()
-        assert snap["counters"]["work.items"] == 5
-        assert snap["histograms"]["work.seconds"]["count"] == 5

@@ -1,11 +1,14 @@
 """MAC counting (paper Table I)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.models import mobilenetv2, resnet20, resnet32, simplecnn
 from repro.nn import Conv2d, Linear, Sequential
-from repro.quant import quantize_model
+from repro.quant import QConfig, QuantConv2d, QuantLinear, quantize_model
+from repro.quant.observer import OBSERVERS
 from repro.sim import count_macs
 
 
@@ -84,3 +87,18 @@ class TestQuantizedModels:
         a = count_macs(model, (3, 16, 16)).total_macs
         b = count_macs(model, (3, 16, 16)).total_macs
         assert a == b
+
+    @pytest.mark.parametrize("activation_observer", sorted(OBSERVERS))
+    def test_probe_leaves_observers_untouched(self, activation_observer):
+        fp_macs = count_macs(simplecnn(base_width=4, rng=0), (3, 16, 16)).total_macs
+        qconfig = QConfig(activation_observer=activation_observer)
+        qmodel = quantize_model(simplecnn(base_width=4, rng=0), qconfig)
+        layers = [m for m in qmodel.modules() if isinstance(m, (QuantConv2d, QuantLinear))]
+
+        def observer_state():
+            return [pickle.dumps((m._act_observer, m._weight_observer)) for m in layers]
+
+        before = observer_state()
+        assert count_macs(qmodel, (3, 16, 16)).total_macs == fp_macs
+        assert observer_state() == before
+        assert not any(m.calibrating for m in layers)

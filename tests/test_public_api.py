@@ -83,4 +83,4 @@ class TestKnobReadContainment:
         from repro import config
 
         for name in config.knob_names():
-            assert config.env_var(name).startswith("REPRO_")
+            assert config.KNOBS[name].env.startswith("REPRO_")
