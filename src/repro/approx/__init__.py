@@ -40,7 +40,6 @@ from repro.approx.plan import (
     LayerKernelState,
     PlanCache,
     build_plan,
-    cache_stats,
     plan_cache_disabled,
     plan_caching_enabled,
     repair_plan,
@@ -84,7 +83,6 @@ __all__ = [
     "LayerKernelState",
     "PlanCache",
     "build_plan",
-    "cache_stats",
     "plan_cache_disabled",
     "plan_caching_enabled",
     "repair_plan",

@@ -50,17 +50,16 @@ class Multiplier:
     # -- evaluation -----------------------------------------------------
     def apply_unsigned(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Evaluate on unsigned operands (broadcasting like ``a*b``)."""
-        a = np.asarray(a)
-        b = np.asarray(b)
+        a, b = self._int64_operands(a, b)
         self._check_unsigned_range(a, b)
         return self.lut[a, b]
 
     def apply_signed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Evaluate on signed operands via sign-magnitude decomposition."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        mags = self.lut[np.abs(a), np.abs(b)]
-        return np.sign(a) * np.sign(b) * mags
+        a, b = self._int64_operands(a, b)
+        mag_a, mag_b = np.abs(a), np.abs(b)
+        self._check_unsigned_range(mag_a, mag_b)
+        return np.sign(a) * np.sign(b) * self.lut[mag_a, mag_b]
 
     def signed_lut(self) -> np.ndarray:
         """Signed LUT ``L[a + xhi, b + whi] = g̃(a, b)`` over the symmetric
@@ -80,6 +79,16 @@ class Multiplier:
         table = (signs * self.lut[np.abs(a)][:, np.abs(b)]).astype(np.int32)
         self._signed_lut = table
         return table
+
+    def _int64_operands(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Integer operands widened to int64, so that ``abs`` of a minimum
+        such as int8 -128 cannot wrap."""
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+            raise MultiplierError(
+                f"{self.name}: operands must be integer-typed, got {a.dtype} and {b.dtype}"
+            )
+        return a.astype(np.int64), b.astype(np.int64)
 
     def _check_unsigned_range(self, a: np.ndarray, b: np.ndarray) -> None:
         if a.size and (a.min() < 0 or a.max() >= 2**self.x_bits):

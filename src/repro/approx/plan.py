@@ -466,30 +466,3 @@ class PlanCache:
 
     def __setstate__(self, state: dict) -> None:
         self._entries = {}
-
-
-def cache_stats() -> dict:
-    """Process-wide plan-cache counter snapshot (hits/misses/bytes).
-
-    Reads the metrics registry, so it is only populated while metrics are
-    recorded (``repro ... --metrics`` or ``--profile``, or
-    :class:`repro.obs.metrics.collecting_metrics`). Builds and repairs
-    are histograms of their size: the count is the number of events, the
-    sum the bytes (changed weight codes for a repair), reported under
-    ``<key>_bytes`` when non-zero.
-    ``plan_built_bitplane`` counts the builds that chose the bit-plane
-    basis (:func:`build_plan`).
-    """
-    snapshot = met.get_metrics().snapshot()
-    counters, histograms = snapshot["counters"], snapshot["histograms"]
-    out = {
-        f"plan_cache_{event}": int(counters.get(f"plan_cache.{event}", 0))
-        for event in ("hit", "miss", "revalidate", "bypass")
-    }
-    out["plan_built_bitplane"] = int(counters.get("plan_cache.build_bitplane", 0))
-    for key, event in (("plan_built", "build"), ("plan_repaired", "repair")):
-        sized = histograms.get(f"plan_cache.{event}", {})
-        out[key] = int(sized.get("count", 0))
-        if sized.get("sum"):
-            out[f"{key}_bytes"] = int(sized["sum"])
-    return out

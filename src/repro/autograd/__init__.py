@@ -6,7 +6,7 @@ mode switches and a numerical gradient checker.
 
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.autograd.function import Function, unbroadcast
-from repro.autograd.grad_mode import enable_grad, is_grad_enabled, no_grad, set_grad_enabled
+from repro.autograd.grad_mode import is_grad_enabled, no_grad, set_grad_enabled
 from repro.autograd import _bind  # noqa: F401  (side effect: operator overloads)
 from repro.autograd.grad_check import check_gradients, numerical_gradient
 from repro.autograd.im2col import col2im, conv_out_size, im2col, sliding_windows
@@ -27,7 +27,6 @@ from repro.autograd.ops_basic import (
 )
 from repro.autograd.ops_loss import (
     cross_entropy_with_probs,
-    log_softmax,
     log_softmax_np,
     softmax,
     softmax_cross_entropy,
@@ -58,7 +57,6 @@ __all__ = [
     "as_tensor",
     "unbroadcast",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
     "set_grad_enabled",
     "check_gradients",
@@ -101,7 +99,6 @@ __all__ = [
     "getitem",
     "concat",
     "broadcast_to",
-    "log_softmax",
     "softmax",
     "softmax_np",
     "log_softmax_np",

@@ -31,14 +31,3 @@ def no_grad():
         yield
     finally:
         set_grad_enabled(previous)
-
-
-@contextlib.contextmanager
-def enable_grad():
-    """Context manager that re-enables graph recording inside ``no_grad``."""
-    previous = is_grad_enabled()
-    set_grad_enabled(True)
-    try:
-        yield
-    finally:
-        set_grad_enabled(previous)

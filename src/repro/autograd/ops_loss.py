@@ -22,17 +22,6 @@ def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-class LogSoftmax(Function):
-    def forward(self, logits, axis: int = -1):
-        self.axis = axis
-        self.out = log_softmax_np(np.asarray(logits), axis)
-        return self.out
-
-    def backward(self, grad_out):
-        softmax = np.exp(self.out)
-        return (grad_out - softmax * grad_out.sum(axis=self.axis, keepdims=True), None)
-
-
 class Softmax(Function):
     def forward(self, logits, axis: int = -1):
         self.axis = axis
@@ -106,10 +95,6 @@ class CrossEntropyWithProbs(Function):
 # ----------------------------------------------------------------------
 # functional wrappers
 # ----------------------------------------------------------------------
-def log_softmax(logits, axis: int = -1) -> Tensor:
-    return LogSoftmax.apply(as_tensor(logits), axis)
-
-
 def softmax(logits, axis: int = -1) -> Tensor:
     return Softmax.apply(as_tensor(logits), axis)
 

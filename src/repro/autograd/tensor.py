@@ -8,7 +8,7 @@ tensor with ``requires_grad=True``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -202,8 +202,3 @@ def as_tensor(value, requires_grad: bool = False) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value, requires_grad=requires_grad)
-
-
-def stack_tensors(tensors: Iterable[Tensor]) -> np.ndarray:
-    """Stack the raw data of ``tensors`` along a new leading axis."""
-    return np.stack([t.data for t in tensors])

@@ -1,10 +1,6 @@
 """Knowledge distillation for approximate CNNs (ApproxKD)."""
 
-from repro.distill.approxkd import (
-    TEMPERATURE_GRID,
-    ApproxKDConfig,
-    recommended_t2,
-)
+from repro.distill.approxkd import TEMPERATURE_GRID, recommended_t2
 from repro.distill.losses import distillation_loss, hard_loss, soft_loss
 from repro.distill.teacher import clone_model, kd_batch_loss, precompute_teacher_logits
 
@@ -15,7 +11,6 @@ __all__ = [
     "clone_model",
     "precompute_teacher_logits",
     "kd_batch_loss",
-    "ApproxKDConfig",
     "TEMPERATURE_GRID",
     "recommended_t2",
 ]

@@ -14,28 +14,8 @@ drivers live in :mod:`repro.pipeline.algorithm1`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import ConfigError
-
 # Temperatures swept in the paper's ablation (Table III).
 TEMPERATURE_GRID: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0)
-
-
-@dataclass(frozen=True)
-class ApproxKDConfig:
-    """Temperatures and epoch budgets of the two distillation stages."""
-
-    t1: float = 1.0  # quantization-stage temperature (paper uses T1 = 1)
-    t2: float = 5.0  # approximation-stage temperature (T2 > T1 for large MRE)
-    quantization_epochs: int = 30
-    approximation_epochs: int = 30
-
-    def __post_init__(self) -> None:
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ConfigError("distillation temperatures must be positive")
-        if self.quantization_epochs < 0 or self.approximation_epochs < 0:
-            raise ConfigError("epoch budgets must be non-negative")
 
 
 def recommended_t2(mre: float) -> float:

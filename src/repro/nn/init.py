@@ -7,35 +7,19 @@ import numpy as np
 from repro.utils.rng import new_rng
 
 
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
+def _fan_in(shape: tuple[int, ...]) -> int:
     if len(shape) == 2:  # linear: (out, in)
-        fan_out, fan_in = shape
-    elif len(shape) == 4:  # conv: (out, in/groups, kh, kw)
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        raise ValueError(f"cannot infer fan for weight shape {shape}")
-    return fan_in, fan_out
+        return shape[1]
+    if len(shape) == 4:  # conv: (out, in/groups, kh, kw)
+        return shape[1] * shape[2] * shape[3]
+    raise ValueError(f"cannot infer fan for weight shape {shape}")
 
 
 def kaiming_normal(shape, rng=None, gain: float = np.sqrt(2.0)) -> np.ndarray:
     """He initialisation for ReLU networks."""
-    fan_in, _ = _fan_in_out(tuple(shape))
-    std = gain / np.sqrt(fan_in)
+    std = gain / np.sqrt(_fan_in(tuple(shape)))
     return new_rng(rng).normal(0.0, std, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape, rng=None, gain: float = 1.0) -> np.ndarray:
-    """Glorot uniform initialisation."""
-    fan_in, fan_out = _fan_in_out(tuple(shape))
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return new_rng(rng).uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
-
-
-def ones(shape) -> np.ndarray:
-    return np.ones(shape, dtype=np.float32)

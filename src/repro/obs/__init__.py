@@ -21,7 +21,7 @@ Cooperating pieces (see ``docs/OBSERVABILITY.md``):
   (``repro report``).
 """
 
-from repro.obs.console import Console, ConsoleSink, format_event, get_console, set_verbosity
+from repro.obs.console import Console, ConsoleSink, format_event, get_console
 from repro.obs.events import (
     DEBUG,
     EPOCH,
@@ -136,7 +136,6 @@ __all__ = [
     "ConsoleSink",
     "format_event",
     "get_console",
-    "set_verbosity",
     # stats
     "StatsHook",
     "LayerStats",

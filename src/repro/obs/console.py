@@ -72,12 +72,6 @@ def get_console() -> Console:
     return _global_console
 
 
-def set_verbosity(level: int) -> None:
-    """Set the default console's threshold (e.g. ``events.WARNING`` for
-    ``--quiet``, ``events.DEBUG`` for ``--verbose``)."""
-    _global_console.level = level
-
-
 class ConsoleSink(ev.Sink):
     """Render structured events as human-readable console lines."""
 

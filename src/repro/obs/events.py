@@ -192,10 +192,6 @@ class EventLog:
         self._sinks.append(sink)
         return sink
 
-    def remove_sink(self, sink: Sink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-
     def close(self) -> None:
         """Close and detach every sink."""
         for sink in self._sinks:

@@ -381,10 +381,6 @@ def disable_metrics() -> None:
     enabled = False
 
 
-def metrics_enabled() -> bool:
-    return enabled
-
-
 def reset_metrics() -> None:
     _registry.reset()
 

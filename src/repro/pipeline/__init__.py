@@ -1,4 +1,4 @@
-"""End-to-end optimization flow (Algorithm 1) and comparison harnesses."""
+"""End-to-end optimization flow (Algorithm 1), sweeps and replicates."""
 
 from repro.pipeline.algorithm1 import (
     METHODS,
@@ -8,7 +8,6 @@ from repro.pipeline.algorithm1 import (
     quantization_stage,
     run_algorithm1,
 )
-from repro.pipeline.compare import MethodComparison, compare_methods
 from repro.pipeline.replicate import ReplicateSummary, replicate_approximation_stage
 from repro.pipeline.sweep import SweepPoint, SweepResult, run_sweep
 
@@ -19,8 +18,6 @@ __all__ = [
     "quantization_stage",
     "approximation_stage",
     "run_algorithm1",
-    "MethodComparison",
-    "compare_methods",
     "SweepPoint",
     "SweepResult",
     "run_sweep",

@@ -22,7 +22,6 @@ from repro.quant.quantizer import (
     dequantize,
     fake_quantize_np,
     qrange,
-    quantization_noise,
     quantize,
     round_step_to_pow2,
     step_from_max,
@@ -40,7 +39,6 @@ __all__ = [
     "qrange",
     "round_step_to_pow2",
     "step_from_max",
-    "quantization_noise",
     "MinMaxObserver",
     "MSEObserver",
     "MinPropQEObserver",

@@ -22,7 +22,6 @@ from repro.quant.quantizer import (
     fake_quantize_np,
     qrange,
     quantize,
-    round_step_to_pow2,
     step_from_max,
 )
 
@@ -59,9 +58,6 @@ class ObserverBase:
             raise QuantizationError(
                 f"{type(self).__name__}.compute_step() called before observe()"
             )
-
-    def _maybe_pow2(self, step: float) -> float:
-        return round_step_to_pow2(step) if self.pow2 else step
 
     def code_histogram(self, step: float | None = None) -> np.ndarray:
         """Per-code histogram of the observed data at the calibrated step.

@@ -245,7 +245,6 @@ def _conv_forward(
     fn.has_bias = bias is not None
     oh = conv_out_size(h, kh, stride, padding)
     ow = conv_out_size(w, kw, stride, padding)
-    fn.out_spatial = (oh, ow)
     fn.kernel = (kh, kw)
 
     xq, fn.x_mask = _quantize_codes(x, act_step, act_bits)
@@ -266,7 +265,6 @@ def _conv_forward(
             return depthwise_conv(xq.astype(np.float32), w3.astype(np.float32), stride, padding)
 
         y = exact_y() if exact else _lut_depthwise(xq, w3, stride, padding, multiplier)
-        out = y * rescale_col[None, :, None, None]
     else:
         # One float32 unfold serves every reader of the columns.
         fn.cols = None
@@ -274,8 +272,8 @@ def _conv_forward(
             fn.cols = unfold_nhwc(xq, (kh, kw), stride, padding)
             w_op, a_max = conv_plan_operand(wq), qrange(act_bits)[1]
 
-        def exact_y():
-            return exact_int_matmul(fn.cols, w_op, a_max)
+        def exact_y():  # GEMM rows viewed as NHWC
+            return exact_int_matmul(fn.cols, w_op, a_max).reshape(n, oh, ow, oc)
 
         if state.plan is not None:
             y = state.plan.execute_conv(xq, (kh, kw), stride, padding)
@@ -283,22 +281,21 @@ def _conv_forward(
             y = exact_y()
         else:
             y = approx_matmul(fn.cols.astype(np.int32), w_op, multiplier)
-        out = y.astype(np.float32, copy=False) * rescale_col[None, :]
-        out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
+        y = y.reshape(n, oh, ow, oc)
     y_exact = (y if exact else exact_y()) if need_exact else None
     fn.scale = _gradient_scale(error_model, y_exact)
-
+    nchw = y if fn.depthwise else y.transpose(0, 3, 1, 2)
+    out = np.multiply(nchw, rescale_col[:, None, None], dtype=np.float32, order="C")  # one pass
     if fn.has_bias:
-        out = out + np.asarray(bias).reshape(1, oc, 1, 1)
-    return np.ascontiguousarray(out)
+        out += np.asarray(bias).reshape(oc, 1, 1)
+    return out
 
 
 def _conv_backward(fn: Function, grad_out: np.ndarray) -> tuple:
     """``(grad_x, grad_w, grad_b)`` of :func:`_conv_forward`: the STE of Eq. 5,
     scaled by ``(1 + K)`` under gradient estimation."""
-    n, c, h, w = fn.x_shape
+    c = fn.x_shape[1]
     kh, kw = fn.kernel
-    oh, ow = fn.out_spatial
     stride, padding = fn.stride, fn.padding
     oc = fn.wq.shape[0]
     sx = np.float32(fn.act_step)
@@ -311,7 +308,7 @@ def _conv_backward(fn: Function, grad_out: np.ndarray) -> tuple:
         grad_x, grad_w = depthwise_conv_grads(grad_out * fn.scale, x_fq, w_fq, stride, padding)
         grad_w = grad_w.reshape(fn.wq.shape)
     else:
-        g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc) * fn.scale
+        g2 = np.multiply(grad_out.transpose(0, 2, 3, 1), fn.scale, order="C").reshape(-1, oc)
         x_fq = fn.cols * sx
         w_fq = fn.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None]
         if oc == 1:

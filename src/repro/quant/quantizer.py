@@ -63,8 +63,3 @@ def step_from_max(max_abs: float, bits: int, pow2: bool = True) -> float:
         max_abs = 1e-8  # degenerate all-zero tensor: any tiny step works
     step = max_abs / hi
     return round_step_to_pow2(step) if pow2 else step
-
-
-def quantization_noise(x: np.ndarray, step: float, bits: int) -> float:
-    """Mean squared error introduced by quantizing ``x``."""
-    return float(np.mean((fake_quantize_np(x, step, bits) - np.asarray(x)) ** 2))

@@ -25,7 +25,6 @@ from repro.resilience.checkpoint import FORMAT_VERSION, Checkpoint, CheckpointMa
 from repro.resilience.guard import DivergenceGuard, GuardConfig, GuardTrip
 from repro.resilience.retry import FailureRecord, call_with_retry
 from repro.utils.atomic import (
-    atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
     atomic_writer,
@@ -42,7 +41,6 @@ __all__ = [
     "FailureRecord",
     "call_with_retry",
     "atomic_writer",
-    "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
     "file_sha256",

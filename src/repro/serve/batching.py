@@ -150,7 +150,3 @@ class RequestQueue:
         """Samples currently queued (the admission-control quantity)."""
         with self._cond:
             return self._samples
-
-    def depth_requests(self) -> int:
-        with self._cond:
-            return len(self._items)

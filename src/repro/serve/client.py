@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -78,9 +78,3 @@ class Client:
                 time.sleep(exc.retry_after_s)
             except ServeError:
                 raise
-
-
-def as_samples(xs: Sequence[np.ndarray] | np.ndarray) -> list[np.ndarray]:
-    """Split a stacked ``(N, ...)`` array into per-sample arrays."""
-    arr = np.asarray(xs)
-    return [arr[i] for i in range(arr.shape[0])]

@@ -1,14 +1,8 @@
 """Optimizers, schedules, the fine-tuning loop and baseline methods."""
 
 from repro.train.baselines import alpha_regularization_loss, remove_alpha_regularization
-from repro.train.callbacks import (
-    BestWeightsKeeper,
-    Callback,
-    EarlyStopping,
-    TelemetryCallback,
-)
-from repro.train.lr_schedule import ConstantLR, CosineDecay, LRSchedule, StepDecay
-from repro.train.metrics import confusion_matrix, top1_accuracy, topk_accuracy
+from repro.train.callbacks import Callback, TelemetryCallback
+from repro.train.lr_schedule import LRSchedule, StepDecay
 from repro.train.optim import SGD, Adam, Optimizer, clip_grad_norm, global_grad_norm
 from repro.train.robustness import noisy_weight_training
 from repro.train.trainer import (
@@ -29,16 +23,9 @@ __all__ = [
     "global_grad_norm",
     "noisy_weight_training",
     "Callback",
-    "EarlyStopping",
-    "BestWeightsKeeper",
     "TelemetryCallback",
     "LRSchedule",
-    "ConstantLR",
     "StepDecay",
-    "CosineDecay",
-    "top1_accuracy",
-    "topk_accuracy",
-    "confusion_matrix",
     "TrainConfig",
     "History",
     "BatchLoss",

@@ -1,21 +1,17 @@
-"""Trainer callbacks: early stopping, best-weights tracking, telemetry.
+"""Trainer callbacks: the base class and per-epoch telemetry.
 
 Callbacks observe the training loop after each evaluated epoch and may
 request a stop. They compose: ``train_model(..., callbacks=[...])``.
 
 When a :class:`repro.resilience.DivergenceGuard` is active, callbacks are
 also notified of every rollback through :meth:`Callback.on_rollback`, so
-stateful callbacks (patience counters, weight snapshots) can discount the
-rolled-back epoch. The guard itself is not a callback — it needs to run
-inside the batch loop — and is passed to ``train_model`` separately via
-the ``guard`` keyword.
+stateful callbacks can discount the rolled-back epoch. The guard itself
+is not a callback — it needs to run inside the batch loop — and is
+passed to ``train_model`` separately via the ``guard`` keyword.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import ConfigError
 from repro.nn.module import Module
 from repro.obs import events as obs_events
 from repro.obs import metrics as met
@@ -35,58 +31,6 @@ class Callback:
         The epoch was never committed to the history; ``model`` has
         already been restored to its epoch-start state. Default: no-op.
         """
-
-
-class EarlyStopping(Callback):
-    """Stop when test accuracy has not improved for ``patience`` epochs."""
-
-    def __init__(self, patience: int = 5, min_delta: float = 0.0):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.min_delta = float(min_delta)
-        self._best = -np.inf
-        self._stale = 0
-
-    def on_epoch_end(self, epoch: int, history: History, model: Module) -> bool:
-        if not history.test_accuracy:
-            return False
-        current = history.test_accuracy[-1]
-        if current > self._best + self.min_delta:
-            self._best = current
-            self._stale = 0
-            return False
-        self._stale += 1
-        return self._stale >= self.patience
-
-
-class BestWeightsKeeper(Callback):
-    """Snapshot the model state at its best test accuracy.
-
-    Call :meth:`restore` after training to roll back to the best epoch.
-    """
-
-    def __init__(self):
-        self._best = -np.inf
-        self._state: dict | None = None
-
-    def on_epoch_end(self, epoch: int, history: History, model: Module) -> bool:
-        if history.test_accuracy and history.test_accuracy[-1] > self._best:
-            self._best = history.test_accuracy[-1]
-            self._state = model.state_dict()
-        return False
-
-    @property
-    def best_accuracy(self) -> float:
-        if self._state is None:
-            raise ConfigError("no snapshot recorded yet")
-        return float(self._best)
-
-    def restore(self, model: Module) -> None:
-        """Load the best snapshot into ``model``."""
-        if self._state is None:
-            raise ConfigError("no snapshot recorded yet")
-        model.load_state_dict(self._state)
 
 
 class TelemetryCallback(Callback):

@@ -27,11 +27,6 @@ class LRSchedule:
         return lr
 
 
-class ConstantLR(LRSchedule):
-    def lr_at(self, epoch: int) -> float:
-        return self.initial_lr
-
-
 class StepDecay(LRSchedule):
     """``lr = initial · decay^(epoch // every)`` — paper: decay 0.1 / 15 ep."""
 
@@ -46,20 +41,3 @@ class StepDecay(LRSchedule):
 
     def lr_at(self, epoch: int) -> float:
         return self.initial_lr * self.decay ** (epoch // self.every)
-
-
-class CosineDecay(LRSchedule):
-    """Cosine annealing to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, initial_lr: float, total_epochs: int, min_lr: float = 0.0):
-        super().__init__(initial_lr)
-        if total_epochs < 1:
-            raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
-        self.total_epochs = int(total_epochs)
-        self.min_lr = float(min_lr)
-
-    def lr_at(self, epoch: int) -> float:
-        import math
-
-        t = min(epoch, self.total_epochs) / self.total_epochs
-        return self.min_lr + 0.5 * (self.initial_lr - self.min_lr) * (1 + math.cos(math.pi * t))

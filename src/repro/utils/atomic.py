@@ -53,12 +53,6 @@ def atomic_writer(path: str | Path, mode: str = "wb") -> Iterator[IO]:
         raise
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Atomically replace ``path`` with ``data``."""
-    with atomic_writer(path, "wb") as stream:
-        stream.write(data)
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Atomically replace ``path`` with UTF-8 ``text``."""
     with atomic_writer(path, "w") as stream:

@@ -81,6 +81,8 @@ class TestSignedEvaluation:
         np.testing.assert_array_equal(signed, np.sign(a) * pos)
 
     def test_out_of_range_unsigned_rejected(self):
+        from repro.approx import get_multiplier
+
         m = ExactMultiplier()
         with pytest.raises(MultiplierError):
             m.apply_unsigned(np.array([256]), np.array([0]))
@@ -88,3 +90,14 @@ class TestSignedEvaluation:
             m.apply_unsigned(np.array([0]), np.array([16]))
         with pytest.raises(MultiplierError):
             m.apply_unsigned(np.array([-1]), np.array([0]))
+        t5 = get_multiplier("truncated5")
+        for a, b in ([300], [1]), ([-256], [1]), ([1], [16]), ([1], [-16]):
+            with pytest.raises(MultiplierError):
+                t5.apply_signed(np.array(a), np.array(b))
+        for apply in (t5.apply_signed, t5.apply_unsigned):
+            with pytest.raises(MultiplierError):
+                apply(np.array([1.0]), np.array([1]))
+            with pytest.raises(MultiplierError):
+                apply(np.array([1]), np.array([1.0]))
+        # |int8 -128| fits the 8-bit magnitude range once widened.
+        assert m.apply_signed(np.array([-128], np.int8), np.array([3], np.int8)) == -384

@@ -20,7 +20,6 @@ from repro.approx.plan import (
     GemmPlan,
     PlanCache,
     build_plan,
-    cache_stats,
     check_magnitude,
     plan_cache_disabled,
     plan_caching_enabled,
@@ -216,24 +215,15 @@ class TestPlanCache:
 
     def test_counters_track_hits_misses_and_bypasses(self, profiled):
         cache = PlanCache()
-        with profiled():
+        with profiled() as rows:
             cache.get("t", (0,), None, object)
             cache.get("t", (0,), None, object)
             cache.get("t", (1,), None, object)
             with plan_cache_disabled():
                 cache.get("t", (1,), None, object)
-            stats = cache_stats()
-        assert stats["plan_cache_miss"] == 2
-        assert stats["plan_cache_hit"] == 1
-        assert stats["plan_cache_bypass"] == 1
-
-    def test_stats_keys(self, profiled):
-        with profiled():
-            stats = cache_stats()
-        assert set(stats) == {
-            "plan_cache_hit", "plan_cache_miss", "plan_cache_revalidate",
-            "plan_cache_bypass", "plan_built_bitplane", "plan_built", "plan_repaired",
-        }
+        assert rows["plan_cache.miss"]["calls"] == 2
+        assert rows["plan_cache.hit"]["calls"] == 1
+        assert rows["plan_cache.bypass"]["calls"] == 1
 
     def test_clones_and_pickles_start_empty(self):
         cache = PlanCache()
@@ -510,12 +500,11 @@ class TestBitplanePlans:
 
     def test_builds_are_counted_by_kind(self, rng, profiled):
         b = _all_magnitudes(rng, 12, 4)
-        with profiled():
+        with profiled() as rows:
             build_plan(b, get_multiplier("truncated5"))
             build_plan(b, get_multiplier("evoapprox228"))
-            stats = cache_stats()
-        assert stats["plan_built"] == 2
-        assert stats["plan_built_bitplane"] == 1
+        assert rows["plan_cache.build"]["calls"] == 2
+        assert rows["plan_cache.build_bitplane"]["calls"] == 1
 
 
 class TestGatherVolume:

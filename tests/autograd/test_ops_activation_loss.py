@@ -8,7 +8,6 @@ from repro.autograd import (
     check_gradients,
     cross_entropy_with_probs,
     leaky_relu,
-    log_softmax,
     log_softmax_np,
     relu,
     relu6,
@@ -74,12 +73,6 @@ class TestSoftmax:
 
     def test_softmax_gradient(self, rng):
         check_gradients(lambda x: softmax(x, axis=1), [t64(rng.normal(size=(3, 4)))])
-
-    def test_log_softmax_gradient(self, rng):
-        check_gradients(
-            lambda x: log_softmax(x, axis=1), [t64(rng.normal(size=(3, 4)))]
-        )
-
 
 class TestCrossEntropy:
     def test_matches_manual(self, rng):

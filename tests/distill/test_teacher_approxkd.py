@@ -1,18 +1,15 @@
 """Teacher utilities and ApproxKD configuration."""
 
 import numpy as np
-import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.distill import (
     TEMPERATURE_GRID,
-    ApproxKDConfig,
     clone_model,
     kd_batch_loss,
     precompute_teacher_logits,
     recommended_t2,
 )
-from repro.errors import ConfigError
 from repro.models import simplecnn
 
 
@@ -69,16 +66,6 @@ class TestKDBatchLoss:
 
 
 class TestApproxKDConfig:
-    def test_defaults(self):
-        cfg = ApproxKDConfig()
-        assert cfg.t1 == 1.0 and cfg.t2 > cfg.t1
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ApproxKDConfig(t1=0.0)
-        with pytest.raises(ConfigError):
-            ApproxKDConfig(quantization_epochs=-1)
-
     def test_temperature_grid_matches_paper(self):
         assert TEMPERATURE_GRID == (1.0, 2.0, 5.0, 10.0)
 

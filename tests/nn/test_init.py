@@ -25,19 +25,7 @@ class TestKaiming:
             init.kaiming_normal((3,))
 
 
-class TestXavier:
-    def test_bounds(self):
-        w = init.xavier_uniform((100, 100), rng=0)
-        limit = np.sqrt(6.0 / 200)
-        assert np.abs(w).max() <= limit + 1e-6
-
-    def test_deterministic(self):
-        a = init.xavier_uniform((5, 5), rng=3)
-        b = init.xavier_uniform((5, 5), rng=3)
-        np.testing.assert_allclose(a, b)
-
-
 class TestConstant:
     def test_zeros_ones(self):
-        assert init.zeros((3,)).sum() == 0.0
-        assert init.ones((3,)).sum() == 3.0
+        z = init.zeros((3,))
+        assert z.sum() == 0.0 and z.dtype == np.float32

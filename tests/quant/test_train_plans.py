@@ -284,7 +284,7 @@ class TestRevalidation:
         np.testing.assert_array_equal(out.data, ref_out.data)
         np.testing.assert_array_equal(xt.grad, xr.grad)
         np.testing.assert_array_equal(layer.weight.grad, reference.weight.grad)
-        assert np.ndim(out.creator.scale) == 2  # GE ran its exact GEMM
+        assert np.ndim(out.creator.scale) == 4  # GE ran its exact GEMM (NHWC scales)
         np.testing.assert_array_equal(out.creator.scale, ref_out.creator.scale)
 
     def test_plan_cache_disabled_keeps_no_training_state(self, rng, profiled):

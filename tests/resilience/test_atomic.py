@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ReproError
 from repro.models import simplecnn
 from repro.utils.atomic import (
-    atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
     atomic_writer,
@@ -28,7 +27,8 @@ def no_temp_files(directory):
 class TestAtomicWriter:
     def test_round_trips(self, tmp_path):
         atomic_write_text(tmp_path / "a.txt", "hello")
-        atomic_write_bytes(tmp_path / "b.bin", b"\x00\x01")
+        with atomic_writer(tmp_path / "b.bin") as stream:
+            stream.write(b"\x00\x01")
         atomic_write_json(tmp_path / "c.json", {"k": 1})
         assert (tmp_path / "a.txt").read_text() == "hello"
         assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"

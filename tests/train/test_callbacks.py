@@ -1,14 +1,8 @@
-"""Trainer callbacks: early stopping and best-weights tracking."""
+"""Trainer callbacks: the stop contract of ``Callback.on_epoch_end``."""
 
-import numpy as np
-import pytest
-
-from repro.errors import ConfigError
 from repro.models import TinyMLP
 from repro.train import (
-    BestWeightsKeeper,
     Callback,
-    EarlyStopping,
     History,
     TrainConfig,
     cross_entropy_loss,
@@ -16,71 +10,18 @@ from repro.train import (
 )
 
 
-class TestEarlyStopping:
-    def test_stops_after_patience_without_improvement(self):
-        cb = EarlyStopping(patience=2)
-        history = History(test_accuracy=[0.5])
-        assert not cb.on_epoch_end(0, history, None)
-        history.test_accuracy.append(0.5)
-        assert not cb.on_epoch_end(1, history, None)
-        history.test_accuracy.append(0.5)
-        assert cb.on_epoch_end(2, history, None)
-
-    def test_improvement_resets_counter(self):
-        cb = EarlyStopping(patience=2)
-        history = History(test_accuracy=[0.5])
-        cb.on_epoch_end(0, history, None)
-        history.test_accuracy.append(0.4)
-        cb.on_epoch_end(1, history, None)
-        history.test_accuracy.append(0.6)  # improvement
-        assert not cb.on_epoch_end(2, history, None)
-        history.test_accuracy.append(0.6)
-        assert not cb.on_epoch_end(3, history, None)
-
-    def test_min_delta(self):
-        cb = EarlyStopping(patience=1, min_delta=0.05)
-        history = History(test_accuracy=[0.5])
-        cb.on_epoch_end(0, history, None)
-        history.test_accuracy.append(0.52)  # below min_delta -> stale
-        assert cb.on_epoch_end(1, history, None)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            EarlyStopping(patience=0)
-
-    def test_in_training_loop(self, tiny_dataset):
-        model = TinyMLP(3 * 16 * 16, hidden=16, rng=0)
-        cfg = TrainConfig(epochs=20, batch_size=64, lr=1e-6, seed=0)  # no progress
-        history = train_model(
-            model, tiny_dataset, cross_entropy_loss(), cfg,
-            callbacks=[EarlyStopping(patience=2, min_delta=0.5)],
-        )
-        assert len(history.train_loss) < 20  # stopped early
-
-
-class TestBestWeightsKeeper:
-    def test_restore_best(self, tiny_dataset):
-        model = TinyMLP(3 * 16 * 16, hidden=16, rng=0)
-        keeper = BestWeightsKeeper()
-        cfg = TrainConfig(epochs=3, batch_size=64, lr=0.02, seed=0)
-        history = train_model(
-            model, tiny_dataset, cross_entropy_loss(), cfg, callbacks=[keeper]
-        )
-        keeper.restore(model)
-        from repro.sim import evaluate_accuracy
-
-        acc = evaluate_accuracy(model, tiny_dataset.test_x, tiny_dataset.test_y)
-        assert acc == pytest.approx(keeper.best_accuracy, abs=1e-9)
-        assert keeper.best_accuracy == max(history.test_accuracy)
-
-    def test_restore_without_snapshot_raises(self):
-        keeper = BestWeightsKeeper()
-        with pytest.raises(ConfigError):
-            keeper.restore(TinyMLP(12, hidden=4, rng=0))
-        with pytest.raises(ConfigError):
-            keeper.best_accuracy
-
-
 class TestBaseCallback:
     def test_default_never_stops(self):
         assert not Callback().on_epoch_end(0, History(), None)
+
+    def test_true_stops_training(self, tiny_dataset):
+        class StopAfterTwo(Callback):
+            def on_epoch_end(self, epoch, history, model):
+                return epoch >= 1
+
+        model = TinyMLP(3 * 16 * 16, hidden=16, rng=0)
+        cfg = TrainConfig(epochs=20, batch_size=64, lr=1e-6, seed=0)
+        history = train_model(
+            model, tiny_dataset, cross_entropy_loss(), cfg, callbacks=[StopAfterTwo()]
+        )
+        assert len(history.train_loss) == 2

@@ -1,19 +1,11 @@
-"""LR schedules and classification metrics."""
+"""The paper's step-decay LR schedule."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ConfigError
 from repro.nn import Parameter
-from repro.train import (
-    SGD,
-    ConstantLR,
-    CosineDecay,
-    StepDecay,
-    confusion_matrix,
-    top1_accuracy,
-    topk_accuracy,
-)
+from repro.train import SGD, StepDecay
 
 
 class TestStepDecay:
@@ -37,45 +29,3 @@ class TestStepDecay:
             StepDecay(1.0, decay=0.0)
         with pytest.raises(ConfigError):
             StepDecay(1.0, every=0)
-
-
-class TestOtherSchedules:
-    def test_constant(self):
-        sched = ConstantLR(0.01)
-        assert sched.lr_at(0) == sched.lr_at(100) == 0.01
-
-    def test_cosine_endpoints(self):
-        sched = CosineDecay(1.0, total_epochs=10, min_lr=0.1)
-        assert sched.lr_at(0) == pytest.approx(1.0)
-        assert sched.lr_at(10) == pytest.approx(0.1)
-        assert 0.1 < sched.lr_at(5) < 1.0
-
-    def test_cosine_monotone_decreasing(self):
-        sched = CosineDecay(1.0, total_epochs=20)
-        lrs = [sched.lr_at(e) for e in range(21)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-
-class TestMetrics:
-    def test_top1(self):
-        logits = np.array([[1.0, 2.0], [3.0, 0.0]])
-        assert top1_accuracy(logits, np.array([1, 0])) == 1.0
-        assert top1_accuracy(logits, np.array([0, 0])) == 0.5
-
-    def test_topk(self):
-        logits = np.array([[3.0, 2.0, 1.0, 0.0]])
-        assert topk_accuracy(logits, np.array([2]), k=3) == 1.0
-        assert topk_accuracy(logits, np.array([3]), k=3) == 0.0
-
-    def test_topk_validation(self):
-        with pytest.raises(ShapeError):
-            topk_accuracy(np.zeros((1, 3)), np.zeros(1), k=5)
-
-    def test_top1_validation(self):
-        with pytest.raises(ShapeError):
-            top1_accuracy(np.zeros((2, 3)), np.zeros(3))
-
-    def test_confusion_matrix(self):
-        cm = confusion_matrix(np.array([0, 1, 1]), np.array([0, 0, 1]), 2)
-        np.testing.assert_array_equal(cm, [[1, 1], [0, 1]])
-        assert cm.sum() == 3
