@@ -83,7 +83,6 @@ _LAZY_EXPORTS = {
     "evaluate_accuracy": ("repro.sim", "evaluate_accuracy"),
     # runtime configuration
     "configure": ("repro.config", "configure"),
-    "config_scope": ("repro.config", "config_scope"),
     # serving
     "Server": ("repro.serve", "Server"),
     "ServeConfig": ("repro.serve", "ServeConfig"),

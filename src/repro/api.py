@@ -43,8 +43,8 @@ Runtime configuration
 ---------------------
 - ``repro.configure(**knobs)`` — process-wide knob overrides; returns
   the previous values for restoration.
-- ``repro.config_scope(**knobs)`` — thread-local scoped overrides.
-- The full precedence chain and knob registry live in
+- The precedence chain (explicit value > ``configure()`` > ``REPRO_*``
+  environment > default) and the knob registry live in
   :mod:`repro.config`; see ``docs/SERVING.md`` for the table.
 
 Serving
@@ -73,7 +73,6 @@ PUBLIC_API: tuple[str, ...] = (
     "Server",
     "TrainConfig",
     "approximation_stage",
-    "config_scope",
     "configure",
     "create_model",
     "evaluate_accuracy",

@@ -18,7 +18,6 @@ from repro.autograd.ops_basic import (
     div,
     exp,
     log,
-    maximum,
     mul,
     neg,
     pow_scalar,
@@ -42,11 +41,8 @@ from repro.autograd.ops_matmul import (
 )
 from repro.autograd.ops_reduce import max_, mean, sum_
 from repro.autograd.ops_shape import (
-    broadcast_to,
-    concat,
     flatten,
     getitem,
-    pad2d,
     reshape,
     transpose,
 )
@@ -77,7 +73,6 @@ __all__ = [
     "sqrt",
     "abs_",
     "clip",
-    "maximum",
     "relu",
     "relu6",
     "leaky_relu",
@@ -95,10 +90,7 @@ __all__ = [
     "reshape",
     "flatten",
     "transpose",
-    "pad2d",
     "getitem",
-    "concat",
-    "broadcast_to",
     "softmax",
     "softmax_np",
     "log_softmax_np",

@@ -121,21 +121,6 @@ class Clip(Function):
         return (grad_out * self.mask, None, None)
 
 
-class Maximum(Function):
-    """Elementwise maximum of two tensors; ties route gradient to the first."""
-
-    def forward(self, a, b):
-        self.a, self.b = np.asarray(a), np.asarray(b)
-        self.a_wins = self.a >= self.b
-        return np.maximum(self.a, self.b)
-
-    def backward(self, grad_out):
-        return (
-            unbroadcast(grad_out * self.a_wins, self.a.shape),
-            unbroadcast(grad_out * ~self.a_wins, self.b.shape),
-        )
-
-
 # ----------------------------------------------------------------------
 # functional wrappers
 # ----------------------------------------------------------------------
@@ -181,7 +166,3 @@ def abs_(a) -> Tensor:
 
 def clip(a, lo: float | None = None, hi: float | None = None) -> Tensor:
     return Clip.apply(as_tensor(a), lo, hi)
-
-
-def maximum(a, b) -> Tensor:
-    return Maximum.apply(as_tensor(a), as_tensor(b))

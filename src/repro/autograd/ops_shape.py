@@ -1,4 +1,4 @@
-"""Shape-manipulation ops: reshape, transpose, pad, slicing, concat."""
+"""Shape-manipulation ops: reshape, transpose, slicing."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.autograd.function import Function
 from repro.autograd.tensor import Tensor, as_tensor
-from repro.errors import ShapeError
 
 
 class Reshape(Function):
@@ -30,27 +29,6 @@ class Transpose(Function):
         return (grad_out.transpose(inverse), None)
 
 
-class Pad2d(Function):
-    """Zero-pad the two trailing (spatial) axes of an NCHW tensor."""
-
-    def forward(self, a, padding: tuple[int, int]):
-        a = np.asarray(a)
-        if a.ndim != 4:
-            raise ShapeError(f"pad2d expects an NCHW tensor, got ndim={a.ndim}")
-        ph, pw = padding
-        self.ph, self.pw = ph, pw
-        if ph == 0 and pw == 0:
-            return a
-        return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-    def backward(self, grad_out):
-        ph, pw = self.ph, self.pw
-        if ph == 0 and pw == 0:
-            return (grad_out, None)
-        h, w = grad_out.shape[2], grad_out.shape[3]
-        return (grad_out[:, :, ph : h - ph, pw : w - pw], None)
-
-
 class GetItem(Function):
     def forward(self, a, index):
         a = np.asarray(a)
@@ -62,32 +40,6 @@ class GetItem(Function):
         grad = np.zeros(self.in_shape, dtype=grad_out.dtype)
         np.add.at(grad, self.index, grad_out)
         return (grad, None)
-
-
-class Concat(Function):
-    """Concatenate along ``axis``; only two operands are needed here."""
-
-    def forward(self, a, b, axis: int):
-        a, b = np.asarray(a), np.asarray(b)
-        self.axis = axis
-        self.split = a.shape[axis]
-        return np.concatenate([a, b], axis=axis)
-
-    def backward(self, grad_out):
-        grad_a, grad_b = np.split(grad_out, [self.split], axis=self.axis)
-        return (np.ascontiguousarray(grad_a), np.ascontiguousarray(grad_b), None)
-
-
-class BroadcastTo(Function):
-    def forward(self, a, shape):
-        a = np.asarray(a)
-        self.in_shape = a.shape
-        return np.broadcast_to(a, shape).copy()
-
-    def backward(self, grad_out):
-        from repro.autograd.function import unbroadcast
-
-        return (unbroadcast(grad_out, self.in_shape), None)
 
 
 # ----------------------------------------------------------------------
@@ -108,17 +60,5 @@ def transpose(a, axes=None) -> Tensor:
     return Transpose.apply(as_tensor(a), axes)
 
 
-def pad2d(a, padding: tuple[int, int]) -> Tensor:
-    return Pad2d.apply(as_tensor(a), padding)
-
-
 def getitem(a, index) -> Tensor:
     return GetItem.apply(as_tensor(a), index)
-
-
-def concat(a, b, axis: int = 1) -> Tensor:
-    return Concat.apply(as_tensor(a), as_tensor(b), axis)
-
-
-def broadcast_to(a, shape) -> Tensor:
-    return BroadcastTo.apply(as_tensor(a), tuple(shape))

@@ -282,7 +282,7 @@ def cmd_evaluate(args, console: obs_console.Console, log: obs_events.EventLog) -
 def cmd_serve(args, console: obs_console.Console, log: obs_events.EventLog) -> int:
     import time
 
-    from repro.serve import HttpFrontend, Server, run_load
+    from repro.serve import HttpFrontend, ServeConfig, Server, run_load
     from repro.serve.loadgen import dataset_samples
 
     data = _dataset(args)
@@ -291,9 +291,15 @@ def cmd_serve(args, console: obs_console.Console, log: obs_events.EventLog) -> i
         if not meta.get("quantized"):
             raise ReproError("--multiplier requires a quantized checkpoint")
         attach_multiplier(model, args.multiplier)
-    # Serve knobs (--deadline-ms etc.) arrive via the repro.config CLI tier
-    # installed by main(); ServeConfig resolves them there.
-    server = Server(model)
+    server = Server(
+        model,
+        ServeConfig(
+            deadline_ms=args.deadline_ms,
+            max_batch=args.max_batch,
+            queue_depth=args.queue_depth,
+            replicas=args.replicas,
+        ),
+    )
     warm = dataset_samples(data, limit=min(server.config.max_batch, 8))
     server.start(warm=warm)
     console.info(
@@ -892,17 +898,9 @@ def _loggable_config(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     console = obs_console.get_console()
-    # Runtime-knob flags land in the repro.config CLI tier (above the
-    # environment, below configure()/scopes) and are restored on exit.
-    previous_cli = config.set_cli_overrides(
-        {
-            "error_model_method": getattr(args, "error_model_method", None),
-            "serve_deadline_ms": getattr(args, "deadline_ms", None),
-            "serve_max_batch": getattr(args, "max_batch", None),
-            "serve_queue_depth": getattr(args, "queue_depth", None),
-            "serve_replicas": getattr(args, "replicas", None),
-        }
-    )
+    # --error-model-method overrides the environment for this run only.
+    method = getattr(args, "error_model_method", None)
+    previous_config = config.configure(error_model_method=method) if method else {}
     if args.quiet:
         console.level = obs_events.WARNING
     elif args.verbose:
@@ -970,7 +968,7 @@ def main(argv: list[str] | None = None) -> int:
             met.disable_metrics()
         obs_events.set_event_log(previous_log)
         log.close()
-        config.set_cli_overrides(previous_cli)
+        config.configure(**previous_config)
     return code
 
 

@@ -7,14 +7,11 @@ precedence (most specific wins):
 
 1. **per-call kwarg** — an explicit argument at a call site
    (``resolve("serve_max_batch", call=value)``);
-2. **context manager** — ``with config_scope(serve_max_batch=8): ...``
-   (thread-local: concurrent threads see only their own scopes; a forked
-   worker inherits the scopes of the thread that forked it);
-3. **:func:`configure`** — process-wide programmatic override;
-4. **CLI flag** — installed by ``repro.cli.main`` via
-   :func:`set_cli_overrides`;
-5. **environment** — the knob's ``REPRO_*`` variable;
-6. **default** — the knob's registered default.
+2. **:func:`configure`** — process-wide programmatic override
+   (``repro.cli.main`` installs ``--error-model-method`` here for one
+   run and restores the previous override on exit);
+3. **environment** — the knob's ``REPRO_*`` variable;
+4. **default** — the knob's registered default.
 
 This module is the only place in ``src/repro`` that reads ``REPRO_*``
 environment variables at runtime (asserted by the public-API tests);
@@ -35,12 +32,10 @@ from repro.errors import ConfigError
 __all__ = [
     "Knob",
     "KNOBS",
-    "config_scope",
     "configure",
     "knob_names",
     "perf_env_vars",
     "resolve",
-    "set_cli_overrides",
 ]
 
 
@@ -91,9 +86,9 @@ class Knob:
     """One registered runtime knob.
 
     ``parse_env`` turns the raw environment string into a value (raising
-    :class:`~repro.errors.ConfigError` on malformed input); programmatic
-    overrides (scope/:func:`configure`/CLI) are stored as given — their
-    call sites validate on use.
+    :class:`~repro.errors.ConfigError` on malformed input); overrides
+    given to :func:`configure` are stored as given — their call sites
+    validate on use.
     """
 
     name: str
@@ -165,13 +160,8 @@ KNOBS: dict[str, Knob] = {
 }
 
 
-# ----------------------------------------------------------------------
-# override stores, one per precedence tier
-# ----------------------------------------------------------------------
 _lock = threading.Lock()
-_configured: dict[str, Any] = {}  # tier 3: configure()
-_cli: dict[str, Any] = {}  # tier 4: CLI flags
-_local = threading.local()  # tier 2: config_scope stack
+_configured: dict[str, Any] = {}  # tier 2: configure()
 
 
 def _knob(name: str) -> Knob:
@@ -181,13 +171,6 @@ def _knob(name: str) -> Knob:
         raise ConfigError(
             f"unknown config knob {name!r}; known knobs: {', '.join(sorted(KNOBS))}"
         ) from None
-
-
-def _scopes() -> list[dict[str, Any]]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = _local.stack = []
-    return stack
 
 
 def resolve(name: str, call: Any = None) -> Any:
@@ -200,14 +183,9 @@ def resolve(name: str, call: Any = None) -> Any:
     knob = _knob(name)
     if call is not None:
         return call
-    for scope in reversed(_scopes()):
-        if name in scope:
-            return scope[name]
     with _lock:
         if name in _configured:
             return _configured[name]
-        if name in _cli:
-            return _cli[name]
     raw = os.environ.get(knob.env, "")
     if raw.strip():
         return knob.parse_env(raw)
@@ -218,7 +196,7 @@ def configure(**knobs: Any) -> dict[str, Any]:
     """Install process-wide overrides; returns the previous override map.
 
     Setting a knob to ``None`` clears its override (resolution falls to
-    the CLI/environment/default tiers again). The returned mapping can be
+    the environment/default tiers again). The returned mapping can be
     passed back — ``configure(**previous)`` — to restore the prior state
     of exactly the knobs touched.
     """
@@ -232,51 +210,6 @@ def configure(**knobs: Any) -> dict[str, Any]:
             else:
                 _configured[name] = value
     return previous
-
-
-def set_cli_overrides(overrides: dict[str, Any] | None) -> dict[str, Any]:
-    """Replace the CLI-flag tier wholesale; returns the previous mapping.
-
-    ``repro.cli.main`` installs the parsed flags here on entry and
-    restores the previous mapping on exit. ``None``-valued entries (flags
-    left at their parser default) are dropped rather than stored.
-    """
-    with _lock:
-        previous = dict(_cli)
-        _cli.clear()
-        for name, value in (overrides or {}).items():
-            _knob(name)
-            if value is not None:
-                _cli[name] = value
-        return previous
-
-
-class config_scope:
-    """Context manager applying overrides to the current thread only.
-
-    Scopes nest (innermost wins) and are thread-local: a replica or pool
-    thread never sees another thread's scope, while a forked worker
-    process inherits the scopes of the thread that forked it.
-    """
-
-    def __init__(self, **knobs: Any):
-        for name in knobs:
-            _knob(name)
-        self._knobs = {k: v for k, v in knobs.items() if v is not None}
-
-    def __enter__(self) -> "config_scope":
-        _scopes().append(self._knobs)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        stack = _scopes()
-        if stack and stack[-1] is self._knobs:
-            stack.pop()
-        else:  # pragma: no cover - misnested scopes; remove defensively
-            try:
-                stack.remove(self._knobs)
-            except ValueError:
-                pass
 
 
 def knob_names() -> list[str]:

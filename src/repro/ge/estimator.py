@@ -2,9 +2,9 @@
 
 :func:`estimate_error_model` is the call site the rest of the library
 uses (Algorithm 1, sweeps, the CLI, serving warmup). It dispatches on the
-``error_model_method`` config knob (per-call ``method=`` > scope >
-``configure`` > ``--error-model-method`` > ``REPRO_ERROR_MODEL_METHOD`` >
-default ``auto``):
+``error_model_method`` config knob (per-call ``method=`` >
+``configure``, where ``--error-model-method`` lands >
+``REPRO_ERROR_MODEL_METHOD`` > default ``auto``):
 
 - ``"analytic"`` — closed-form model from the LUT and operand
   distributions (:mod:`repro.ge.analytic`), milliseconds, no sampling

@@ -2,7 +2,7 @@
 
 from repro.nn.activations import LeakyReLU, ReLU, ReLU6, Sigmoid, Tanh
 from repro.nn.batchnorm import BatchNorm2d
-from repro.nn.container import Dropout, Flatten, Identity, Sequential
+from repro.nn.container import Flatten, Identity, Sequential
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module
@@ -27,6 +27,5 @@ __all__ = [
     "Sequential",
     "Identity",
     "Flatten",
-    "Dropout",
     "init",
 ]

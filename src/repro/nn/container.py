@@ -1,13 +1,10 @@
-"""Container modules: Sequential, Identity, Flatten, Dropout."""
+"""Container modules: Sequential, Identity, Flatten."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.autograd import ops_basic, ops_shape
+from repro.autograd import ops_shape
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
-from repro.utils.rng import new_rng
 
 
 class Sequential(Module):
@@ -54,21 +51,3 @@ class Flatten(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ops_shape.flatten(x, self.start_axis)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng=None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = float(p)
-        self._rng = new_rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float32) / keep
-        return ops_basic.mul(x, mask)

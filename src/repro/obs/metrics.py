@@ -246,31 +246,6 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
-    # -- series access ---------------------------------------------------
-    def counter(self, name: str, **tags) -> Counter:
-        key = series_key(name, tags)
-        with self._lock:
-            series = self._counters.get(key)
-            if series is None:
-                series = self._counters[key] = Counter(key)
-            return series
-
-    def gauge(self, name: str, **tags) -> Gauge:
-        key = series_key(name, tags)
-        with self._lock:
-            series = self._gauges.get(key)
-            if series is None:
-                series = self._gauges[key] = Gauge(key)
-            return series
-
-    def histogram(self, name: str, **tags) -> Histogram:
-        key = series_key(name, tags)
-        with self._lock:
-            series = self._histograms.get(key)
-            if series is None:
-                series = self._histograms[key] = Histogram(key)
-            return series
-
     # -- recording (lock-held so concurrent emitters never lose updates) --
     def _bump(self, key: str, n: int | float) -> None:
         # caller holds self._lock
@@ -412,7 +387,7 @@ class collecting_metrics:
 
     >>> with collecting_metrics() as registry:
     ...     run_sweep(...)
-    >>> registry.histogram("sweep.cell_seconds").quantile(0.95)
+    >>> snapshot_quantiles(registry.snapshot()["histograms"]["sweep.cell_seconds"])["p95"]
     """
 
     def __init__(self, reset: bool = True):

@@ -39,7 +39,7 @@ def fork_available() -> bool:
 def cpu_parallelism() -> int:
     """Usable hardware parallelism (the ``cpus`` knob overrides detection).
 
-    The override — ``REPRO_CPUS`` or any higher :mod:`repro.config` tier —
+    The override — ``REPRO_CPUS`` or :func:`repro.config.configure` —
     exists for tests and containers whose visible ``os.cpu_count()`` does
     not match the cores actually available.
     """
@@ -51,7 +51,7 @@ def cpu_parallelism() -> int:
 
 def force_parallel() -> bool:
     """True when the ``force_parallel`` knob disables the small-work guard
-    (``REPRO_FORCE_PARALLEL`` or any higher :mod:`repro.config` tier)."""
+    (``REPRO_FORCE_PARALLEL`` or :func:`repro.config.configure`)."""
     return bool(config.resolve("force_parallel"))
 
 

@@ -8,7 +8,6 @@ from repro.quant.convert import (
     quantize_model,
     refresh_weight_steps,
 )
-from repro.quant.fake_quant import FakeQuantize, fake_quantize
 from repro.quant.observer import (
     MinMaxObserver,
     MinPropQEObserver,
@@ -33,9 +32,7 @@ __all__ = [
     "QCONFIG_8A8W",
     "quantize",
     "dequantize",
-    "fake_quantize",
     "fake_quantize_np",
-    "FakeQuantize",
     "qrange",
     "round_step_to_pow2",
     "step_from_max",

@@ -53,8 +53,9 @@ from repro.utils.serialization import load_model_arrays, model_state_arrays
 class ServeConfig:
     """Serving knobs; ``None`` fields resolve through :mod:`repro.config`.
 
-    Every field follows the standard precedence chain (per-call value
-    here > scope > ``configure()`` > CLI > env > default):
+    Every field follows the standard precedence chain (value given
+    here > ``configure()`` > env > default; ``repro serve`` passes its
+    flags here):
 
     - ``deadline_ms`` (``REPRO_SERVE_DEADLINE_MS``): micro-batching
       latency budget measured from the oldest queued request;

@@ -4,7 +4,6 @@ from repro.sim.macs import LayerMacs, MacReport, count_macs
 from repro.sim.faults import FaultReport, fault_sensitivity_sweep, inject_weight_faults
 from repro.sim.resiliency import (
     LayerResiliency,
-    attach_multiplier_map,
     greedy_heterogeneous_assignment,
     layer_resiliency,
     partial_approximation_energy,
@@ -28,7 +27,6 @@ __all__ = [
     "resolve_multiplier",
     "LayerResiliency",
     "layer_resiliency",
-    "attach_multiplier_map",
     "greedy_heterogeneous_assignment",
     "partial_approximation_energy",
     "FaultReport",

@@ -8,8 +8,6 @@ module implements that extension:
 - :func:`layer_resiliency` approximates one quantized layer at a time and
   measures the accuracy drop — the classic sensitivity analysis used to
   decide which layers tolerate aggressive multipliers.
-- :func:`attach_multiplier_map` assigns a (possibly different) multiplier
-  to each quantized layer by qualified name.
 - :func:`greedy_heterogeneous_assignment` builds a per-layer assignment
   that maximises energy savings subject to an accuracy budget, using the
   resiliency ranking.
@@ -24,7 +22,6 @@ import numpy as np
 from repro.approx.multiplier import Multiplier
 from repro.approx.registry import get_multiplier
 from repro.errors import ConfigError
-from repro.ge.error_model import PiecewiseLinearErrorModel
 from repro.nn.module import Module
 from repro.quant.convert import named_quant_layers
 from repro.sim.proxsim import evaluate_accuracy, resolve_multiplier
@@ -65,28 +62,6 @@ def layer_resiliency(
         results.append(LayerResiliency(name, acc, baseline - acc))
     results.sort(key=lambda r: r.drop)
     return results
-
-
-def attach_multiplier_map(
-    model: Module,
-    assignment: dict[str, Multiplier | str | None],
-    error_models: dict[str, PiecewiseLinearErrorModel] | None = None,
-) -> None:
-    """Assign per-layer multipliers by qualified layer name.
-
-    Layers absent from ``assignment`` are left unchanged. Unknown names in
-    ``assignment`` raise, so typos do not silently leave layers exact.
-    """
-    layers = dict(named_quant_layers(model))
-    unknown = set(assignment) - set(layers)
-    if unknown:
-        raise ConfigError(
-            f"unknown quantized layers in assignment: {sorted(unknown)}; "
-            f"known: {sorted(layers)}"
-        )
-    error_models = error_models or {}
-    for name, mult in assignment.items():
-        layers[name].set_multiplier(resolve_multiplier(mult), error_models.get(name))
 
 
 def greedy_heterogeneous_assignment(

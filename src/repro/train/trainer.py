@@ -66,7 +66,6 @@ class TrainConfig:
     augment: bool = False
     seed: int = 0
     eval_every: int = 1
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -276,16 +275,10 @@ def train_model(
                         "seed": config.seed,
                     },
                 )
-            if acc is not None:
-                if config.verbose:
-                    print(
-                        f"epoch {epoch + 1:3d}/{config.epochs}  lr={lr:.2e}  "
-                        f"loss={history.train_loss[-1]:.4f}  acc={acc:.4f}"
-                    )
-                if callbacks and any(
-                    cb.on_epoch_end(epoch, history, model) for cb in callbacks
-                ):
-                    break
+            if acc is not None and callbacks and any(
+                cb.on_epoch_end(epoch, history, model) for cb in callbacks
+            ):
+                break
             epoch += 1
     if not history.test_accuracy and config.epochs == 0:
         history.test_accuracy.append(

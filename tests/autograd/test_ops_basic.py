@@ -1,7 +1,6 @@
 """Gradient checks and semantics for elementwise ops."""
 
 import numpy as np
-import pytest
 
 from repro.autograd import (
     Tensor,
@@ -12,7 +11,6 @@ from repro.autograd import (
     div,
     exp,
     log,
-    maximum,
     mul,
     pow_scalar,
     sqrt,
@@ -95,11 +93,6 @@ class TestGradients:
     def test_abs_away_from_zero(self, rng):
         vals = rng.uniform(0.5, 2.0, size=(4,)) * rng.choice([-1.0, 1.0], size=4)
         check_gradients(abs_, [t64(vals)])
-
-    def test_maximum(self, rng):
-        a = t64(rng.normal(size=(5,)))
-        b = t64(rng.normal(size=(5,)) + 0.01)
-        check_gradients(maximum, [a, b])
 
     def test_clip_gradient_zero_outside(self):
         a = Tensor(np.array([-2.0, 0.0, 2.0], dtype=np.float64), requires_grad=True)

@@ -5,19 +5,15 @@ import pytest
 
 from repro.autograd import (
     Tensor,
-    broadcast_to,
     check_gradients,
-    concat,
     flatten,
     getitem,
     max_,
     mean,
-    pad2d,
     reshape,
     sum_,
     transpose,
 )
-from repro.errors import ShapeError
 
 
 def t64(arr):
@@ -47,32 +43,11 @@ class TestShapeOps:
         a = t64(rng.normal(size=(2, 3, 4)))
         check_gradients(lambda x: transpose(x, (1, 2, 0)), [a])
 
-    def test_pad2d_shape(self):
-        a = Tensor(np.zeros((1, 2, 4, 4)))
-        assert pad2d(a, (1, 2)).shape == (1, 2, 6, 8)
-
-    def test_pad2d_gradient(self, rng):
-        a = t64(rng.normal(size=(2, 2, 3, 3)))
-        check_gradients(lambda x: pad2d(x, (1, 1)), [a])
-
-    def test_pad2d_rejects_non_nchw(self):
-        with pytest.raises(ShapeError):
-            pad2d(Tensor(np.zeros((3, 3))), (1, 1))
-
     def test_getitem_gradient_scatters(self):
         a = t64(np.arange(6.0).reshape(2, 3))
         out = getitem(a, (0, slice(None)))
         out.backward(np.ones(3))
         np.testing.assert_allclose(a.grad, [[1, 1, 1], [0, 0, 0]])
-
-    def test_concat_gradient(self, rng):
-        a = t64(rng.normal(size=(2, 3)))
-        b = t64(rng.normal(size=(2, 2)))
-        check_gradients(lambda x, y: concat(x, y, axis=1), [a, b])
-
-    def test_broadcast_to_gradient(self, rng):
-        a = t64(rng.normal(size=(1, 3)))
-        check_gradients(lambda x: broadcast_to(x, (4, 3)), [a])
 
 
 class TestReductions:

@@ -183,9 +183,12 @@ class TestEstimatorSeam:
 
     def test_method_resolves_through_config(self):
         mult = get_multiplier("truncated3")
-        with config.config_scope(error_model_method="montecarlo"):
-            scoped = estimate_error_model(mult, rng=0)
-        assert scoped == montecarlo_error_model(mult, rng=0)
+        previous = config.configure(error_model_method="montecarlo")
+        try:
+            configured = estimate_error_model(mult, rng=0)
+        finally:
+            config.configure(**previous)
+        assert configured == montecarlo_error_model(mult, rng=0)
 
     def test_unknown_method_raises(self):
         with pytest.raises(ConfigError):

@@ -9,7 +9,6 @@ from repro.nn import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool,
     Identity,
@@ -105,25 +104,6 @@ class TestContainers:
     def test_flatten(self):
         out = Flatten()(Tensor(np.zeros((2, 3, 4), dtype=np.float32)))
         assert out.shape == (2, 12)
-
-    def test_dropout_eval_is_identity(self, rng):
-        d = Dropout(0.5, rng=0)
-        d.eval()
-        x = rng.normal(size=(4, 4)).astype(np.float32)
-        np.testing.assert_allclose(d(Tensor(x)).data, x)
-
-    def test_dropout_train_zeroes_and_scales(self):
-        d = Dropout(0.5, rng=0)
-        x = np.ones((100, 100), dtype=np.float32)
-        out = d(Tensor(x)).data
-        zero_fraction = (out == 0).mean()
-        assert 0.4 < zero_fraction < 0.6
-        nonzero = out[out != 0]
-        np.testing.assert_allclose(nonzero, 2.0, rtol=1e-5)
-
-    def test_dropout_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestPoolingLayers:

@@ -87,7 +87,7 @@ class TestRegistry:
         with met.collecting_metrics() as registry:
             assert met.enabled
             met.observe("h", 1.0)
-            assert registry.histogram("h").count == 1
+            assert registry.snapshot()["histograms"]["h"]["count"] == 1
         assert not met.enabled
 
 

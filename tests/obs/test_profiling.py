@@ -197,18 +197,21 @@ class TestHotPathsAreInstrumented:
         assert rows["approx.matmul_blas"]["calls"] == 1
         assert rows["approx.lut_gathered_values"]["calls"] >= 1
 
-    def test_im2col_and_fake_quant_hit_timers(self, profiled):
+    def test_im2col_and_lut_gather_hit_timers(self, profiled):
         import numpy as np
 
+        from repro.approx import get_multiplier
+        from repro.approx.gemm import approx_matmul
         from repro.autograd.im2col import im2col
-        from repro.quant.fake_quant import fake_quantize
 
+        a = np.arange(-12, 12, dtype=np.int32).reshape(4, 6)
+        b = np.tile(np.array([1, -1, 2], dtype=np.int32), (6, 1))  # |w| in {1, 2}
         with profiled() as rows:
             im2col(np.zeros((1, 2, 6, 6), dtype=np.float32), (3, 3))
-            fake_quantize(np.linspace(-1, 1, 16, dtype=np.float32), 0.1, 8)
+            approx_matmul(a, b, get_multiplier("truncated4"))
         assert rows["autograd.im2col"]["calls"] == 1
-        assert rows["quant.fake_quantize"]["calls"] == 1
-        assert rows["quant.fake_quantized_elements"]["calls"] == 16
+        # one (4, 6) gather per distinct nonzero weight magnitude
+        assert rows["approx.lut_gathered_elems"]["calls"] == 4 * 6 * 2
 
     def test_montecarlo_hits_timer(self, profiled):
         from repro.approx import get_multiplier

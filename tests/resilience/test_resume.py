@@ -103,3 +103,70 @@ class TestBitwiseResume:
         assert_same_weights(done, again)
         # All epochs were restored from the checkpoint, none re-run.
         assert len(history.train_loss) == HALF.epochs
+
+
+class TestAlgorithm1StageResume:
+    """``run_algorithm1(checkpoint_dir=..., resume=True)`` reloads the
+    persisted quantization stage instead of re-running it."""
+
+    CONFIG = TrainConfig(epochs=1, batch_size=64, lr=0.01, seed=0)
+
+    def run(self, fp_model, data, run_dir, resume=False):
+        from repro.pipeline import run_algorithm1
+
+        return run_algorithm1(
+            fp_model, data, "truncated4", quant_config=self.CONFIG,
+            approx_config=self.CONFIG, checkpoint_dir=run_dir, resume=resume,
+        )
+
+    def test_artifact_skips_the_quantization_stage(
+        self, trained_fp_model, tiny_dataset, tmp_path, events, monkeypatch
+    ):
+        import shutil
+
+        import repro.pipeline.algorithm1 as algorithm1
+
+        first = self.run(trained_fp_model, tiny_dataset, tmp_path / "run")
+        # Drop the approximation checkpoints so stage 2 retrains from the
+        # reloaded stage-1 model rather than restoring its own last epoch.
+        shutil.rmtree(tmp_path / "run" / "approximation")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("quantization_stage ran despite its artifact")
+
+        monkeypatch.setattr(algorithm1, "quantization_stage", must_not_run)
+        resumed = self.run(trained_fp_model, tiny_dataset, tmp_path / "run", resume=True)
+
+        assert_same_weights(first.quantized_model, resumed.quantized_model)
+        assert_same_weights(first.approximate_model, resumed.approximate_model)
+        assert resumed.quantization.accuracy_after == first.quantization.accuracy_after
+        assert any(
+            r["type"] == "checkpoint" and r["action"] == "stage_resume"
+            for r in events.records
+        )
+
+    def test_corrupt_artifact_reruns_the_stage(
+        self, trained_fp_model, tiny_dataset, tmp_path, events, monkeypatch
+    ):
+        import repro.pipeline.algorithm1 as algorithm1
+
+        self.run(trained_fp_model, tiny_dataset, tmp_path / "run")
+        artifact = tmp_path / "run" / "quantized-model.npz"
+        artifact.write_bytes(b"not an npz archive")
+
+        calls = []
+        real_stage = algorithm1.quantization_stage
+
+        def counting_stage(*args, **kwargs):
+            calls.append(1)
+            return real_stage(*args, **kwargs)
+
+        monkeypatch.setattr(algorithm1, "quantization_stage", counting_stage)
+        self.run(trained_fp_model, tiny_dataset, tmp_path / "run", resume=True)
+
+        assert calls == [1]
+        corrupt = [
+            r for r in events.records
+            if r["type"] == "checkpoint" and r["action"] == "corrupt"
+        ]
+        assert [r["path"] for r in corrupt] == [str(artifact)]

@@ -46,19 +46,25 @@ class TestServeConfig:
         assert resolved.queue_depth == 256
         assert resolved.replicas >= 1
 
-    def test_resolution_honours_config_scope(self):
+    def test_resolution_honours_configure(self):
         from repro import config
 
-        with config.config_scope(serve_max_batch=4, serve_queue_depth=16):
+        previous = config.configure(serve_max_batch=4, serve_queue_depth=16)
+        try:
             resolved = ServeConfig().resolved()
+        finally:
+            config.configure(**previous)
         assert resolved.max_batch == 4
         assert resolved.queue_depth == 16
 
     def test_explicit_fields_beat_ambient_config(self):
         from repro import config
 
-        with config.config_scope(serve_max_batch=4):
+        previous = config.configure(serve_max_batch=4)
+        try:
             resolved = ServeConfig(max_batch=8, queue_depth=64).resolved()
+        finally:
+            config.configure(**previous)
         assert resolved.max_batch == 8
 
     def test_validation(self):

@@ -1,6 +1,5 @@
 """Per-layer resiliency analysis and heterogeneous approximation."""
 
-import numpy as np
 import pytest
 
 from repro.distill import clone_model
@@ -8,7 +7,6 @@ from repro.errors import ConfigError
 from repro.models import simplecnn
 from repro.quant import named_quant_layers, quant_layers
 from repro.sim import (
-    attach_multiplier_map,
     evaluate_accuracy,
     greedy_heterogeneous_assignment,
     layer_resiliency,
@@ -41,28 +39,6 @@ class TestLayerResiliency:
                 tiny_dataset.test_y[:10],
                 "truncated3",
             )
-
-
-class TestAttachMultiplierMap:
-    def test_assigns_only_named_layers(self, quantized_model):
-        model = clone_model(quantized_model)
-        names = [n for n, _ in named_quant_layers(model)]
-        attach_multiplier_map(model, {names[0]: "truncated5"})
-        layers = dict(named_quant_layers(model))
-        assert layers[names[0]].multiplier.name == "truncated5"
-        assert all(layers[n].multiplier is None for n in names[1:])
-
-    def test_unknown_layer_name_rejected(self, quantized_model):
-        model = clone_model(quantized_model)
-        with pytest.raises(ConfigError):
-            attach_multiplier_map(model, {"nonexistent.layer": "truncated3"})
-
-    def test_none_detaches(self, quantized_model):
-        model = clone_model(quantized_model)
-        names = [n for n, _ in named_quant_layers(model)]
-        attach_multiplier_map(model, {names[0]: "truncated5"})
-        attach_multiplier_map(model, {names[0]: None})
-        assert dict(named_quant_layers(model))[names[0]].multiplier is None
 
 
 class TestGreedyAssignment:

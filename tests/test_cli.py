@@ -92,6 +92,21 @@ class TestApproximate:
         assert "quantized" in capsys.readouterr().err
 
 
+class TestServe:
+    def test_serve_flags_reach_the_server(self, fp_checkpoint, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "16")
+        code = main(
+            [
+                "serve", str(fp_checkpoint), "--requests", "8", "--max-batch", "4",
+                "--replicas", "1", *FAST_DATA,
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "1 replica(s), max batch 4" in out
+        assert "served 8 requests" in out
+
+
 class TestEvaluate:
     def test_fp_checkpoint(self, fp_checkpoint, capsys):
         assert main(["evaluate", "--checkpoint", str(fp_checkpoint), *FAST_DATA]) == 0

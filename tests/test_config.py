@@ -1,8 +1,6 @@
-"""Unified runtime configuration: precedence, scoping, validation."""
+"""Unified runtime configuration: precedence, overrides, validation."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -12,15 +10,11 @@ from repro.errors import ConfigError
 
 @pytest.fixture(autouse=True)
 def _clean_config_state():
-    """Each test starts and ends with empty configure()/CLI tiers."""
-    previous_configured = config.configure(
-        **{name: None for name in config.knob_names()}
-    )
-    previous_cli = config.set_cli_overrides(None)
+    """Each test starts and ends with an empty configure() tier."""
+    previous = config.configure(**{name: None for name in config.knob_names()})
     yield
     config.configure(**{name: None for name in config.knob_names()})
-    config.configure(**{k: v for k, v in previous_configured.items() if v is not None})
-    config.set_cli_overrides(previous_cli)
+    config.configure(**previous)
 
 
 class TestPrecedence:
@@ -32,32 +26,24 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
         assert config.resolve("serve_max_batch") == 8
 
-    def test_cli_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
-        config.set_cli_overrides({"serve_max_batch": 16})
-        assert config.resolve("serve_max_batch") == 16
+    def test_cli_beats_env(self, monkeypatch, capsys):
+        from repro.cli import main
 
-    def test_configure_beats_cli(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ERROR_MODEL_METHOD", "analytic")
+        argv = ["profile", "--multiplier", "truncated5", "--error-model-method", "montecarlo"]
+        assert main(argv) == 0
+        assert "method montecarlo" in capsys.readouterr().out
+        # the flag lasts one run: the environment wins again once main() returns
+        assert config.resolve("error_model_method") == "analytic"
+
+    def test_configure_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "8")
-        config.set_cli_overrides({"serve_max_batch": 16})
         config.configure(serve_max_batch=24)
         assert config.resolve("serve_max_batch") == 24
 
-    def test_scope_beats_configure(self):
-        config.configure(serve_max_batch=24)
-        with config.config_scope(serve_max_batch=48):
-            assert config.resolve("serve_max_batch") == 48
-        assert config.resolve("serve_max_batch") == 24
-
-    def test_call_beats_scope(self):
-        with config.config_scope(serve_max_batch=48):
-            assert config.resolve("serve_max_batch", call=64) == 64
-
-    def test_scopes_nest_innermost_wins(self):
-        with config.config_scope(serve_max_batch=4):
-            with config.config_scope(serve_max_batch=2):
-                assert config.resolve("serve_max_batch") == 2
-            assert config.resolve("serve_max_batch") == 4
+    def test_call_beats_configure(self):
+        config.configure(serve_max_batch=48)
+        assert config.resolve("serve_max_batch", call=64) == 64
 
 
 class TestTiers:
@@ -69,27 +55,6 @@ class TestTiers:
         config.configure(serve_replicas=None)
         assert config.resolve("serve_replicas") is None
 
-    def test_cli_overrides_replace_wholesale_and_drop_none(self):
-        config.set_cli_overrides({"serve_replicas": 2, "serve_max_batch": None})
-        assert config.resolve("serve_replicas") == 2
-        assert config.resolve("serve_max_batch") == 32  # None was dropped
-        previous = config.set_cli_overrides({"cpus": 1})
-        assert previous == {"serve_replicas": 2}
-        assert config.resolve("serve_replicas") is None
-
-    def test_scope_is_thread_local(self):
-        seen = {}
-
-        def other_thread():
-            seen["value"] = config.resolve("serve_max_batch")
-
-        with config.config_scope(serve_max_batch=2):
-            thread = threading.Thread(target=other_thread)
-            thread.start()
-            thread.join()
-            assert config.resolve("serve_max_batch") == 2
-        assert seen["value"] == 32  # the other thread never saw the scope
-
 
 class TestValidation:
     def test_unknown_knob_raises_everywhere(self):
@@ -97,10 +62,6 @@ class TestValidation:
             config.resolve("no_such_knob")
         with pytest.raises(ConfigError, match="unknown config knob"):
             config.configure(no_such_knob=1)
-        with pytest.raises(ConfigError, match="unknown config knob"):
-            config.set_cli_overrides({"no_such_knob": 1})
-        with pytest.raises(ConfigError, match="unknown config knob"):
-            config.config_scope(no_such_knob=1)
 
     def test_malformed_env_raises_config_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "not-a-number")
@@ -122,11 +83,11 @@ class TestIntrospection:
 
 
 class TestConsumersRouteThroughConfig:
-    def test_cpu_parallelism_honours_scope(self):
+    def test_cpu_parallelism_honours_configure(self):
         from repro.parallel import cpu_parallelism
 
-        with config.config_scope(cpus=3):
-            assert cpu_parallelism() == 3
+        config.configure(cpus=3)
+        assert cpu_parallelism() == 3
 
     def test_force_parallel_honours_configure(self, monkeypatch):
         from repro.parallel import force_parallel

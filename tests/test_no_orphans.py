@@ -21,9 +21,6 @@ ALLOWED = {
     # Promised by README.md.
     "compose_truncated_accumulation", "Adam", "logging_to", "tracing",
     "collecting_metrics",
-    # Reached only by tests today; candidates for the next deletion.
-    "broadcast_to", "concat", "maximum", "pad2d", "Dropout", "fake_quantize",
-    "attach_multiplier_map",
 }
 
 

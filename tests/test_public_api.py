@@ -31,7 +31,6 @@ EXPECTED_PUBLIC_API = (
     "Server",
     "TrainConfig",
     "approximation_stage",
-    "config_scope",
     "configure",
     "create_model",
     "evaluate_accuracy",
