@@ -7,10 +7,10 @@ and calibration call it. The quantized convolution unfolds its codes
 once, as float32 in ``(kh, kw, c)`` order (:func:`unfold_nhwc`); a
 planned one unfolds gathered LUT products through the same padded-NHWC
 and window-copy helpers (:meth:`repro.approx.plan.GemmPlan.execute_conv`).
-Every GEMM gradient folds back through :func:`col2im`. A depthwise
-convolution, float or quantized, is no GEMM: :func:`depthwise_conv` and
-:func:`depthwise_conv_grads` run einsums over :func:`sliding_windows` and
-fold its input gradient per kernel offset.
+:func:`conv_input_grad` is a dense convolution's input gradient: one GEMM
+at stride 1, a :func:`col2im` fold otherwise. A depthwise convolution,
+float or quantized, is no GEMM: :func:`depthwise_conv` and
+:func:`depthwise_conv_grads` run einsums over :func:`sliding_windows`.
 
 Each call pads into a fresh buffer (``im2col``) or accumulates
 into one (``col2im``). Pooling these buffers per shape measured no
@@ -143,6 +143,27 @@ def _fold(terms, x_shape, kernel, stride: int, padding: int, dtype) -> np.ndarra
     return np.ascontiguousarray(dx)
 
 
+def conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape, stride: int = 1, padding: int = 0):
+    """The NCHW input gradient, as a view of NHWC rows where it can, of a dense
+    convolution with weights ``w`` ``(OC, C, KH, KW)`` for its NHWC output
+    gradient ``g``. At stride 1 it is one GEMM: of ``g`` itself for a 1×1
+    kernel, else of ``g``'s windows, padded by ``k - 1 - padding``, against
+    the flipped weights. A strided one folds ``g @ w`` through :func:`col2im`."""
+    (n, c, h, wd), (oc, _, kh, kw) = x_shape, w.shape
+    with tr.span("autograd.conv_grad_input", nbytes=g.nbytes):
+        if (kh, kw) == (1, 1) and padding == 0 and stride == 1:
+            rows = g.reshape(-1, oc) @ w.reshape(oc, c)
+        elif stride == 1 and kh == kw and padding < kh:
+            g_nchw, flip = g.transpose(0, 3, 1, 2), kh - 1 - padding
+            buf, _ = nhwc_padded(g_nchw, (kh, kw), 1, flip, g.dtype)
+            flipped = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * oc, c)
+            rows = nhwc_windows(buf, (kh, kw), 1) @ flipped
+        else:
+            cols = g.reshape(-1, oc) @ w.reshape(oc, -1)
+            return col2im(cols, x_shape, (kh, kw), stride, padding)
+        return rows.reshape(n, h, wd, c).transpose(0, 3, 1, 2)
+
+
 def nhwc_padded(x: np.ndarray, kernel, stride: int, padding: int, dtype, shift: int = 0):
     """``(buf, stride)``: NCHW ``x + shift`` as the NHWC ``dtype`` buffer that
     :func:`nhwc_windows` unfolds with that stride, padded with ``shift``.
@@ -220,11 +241,18 @@ def depthwise_conv_grads(
     grad: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(grad_x, grad_w)`` of :func:`depthwise_conv` for its output gradient
-    ``grad``. ``grad_w`` is an einsum over the windows; ``grad_x`` folds
-    ``grad · w[:, i, j]`` per kernel offset, the loop :func:`col2im` runs."""
+    ``grad``, each an einsum over windows: of ``x``, and at stride 1 of ``grad``
+    padded by ``k - 1 - padding`` against the flipped filters. A strided
+    ``grad_x`` folds ``grad · w[:, i, j]`` per kernel offset, as :func:`col2im` does."""
     with tr.span("autograd.depthwise_grad", nbytes=grad.nbytes):
         windows = sliding_windows(x, w.shape[1:], stride, padding)
         grad_w = np.einsum("nchw,nchwij->cij", grad, windows, optimize=True)
         (kh, kw), dtype = w.shape[1:], np.result_type(grad, w)
-        terms = (grad * w[:, i, j, None, None] for i in range(kh) for j in range(kw))
-        return _fold(terms, x.shape, (kh, kw), stride, padding, dtype), grad_w
+        if stride == 1 and kh == kw and padding < kh:
+            windows = sliding_windows(grad, (kh, kw), 1, kh - 1 - padding)
+            flipped = w[:, ::-1, ::-1].copy()  # a strided operand halves einsum's speed
+            grad_x = np.einsum("nchwij,cij->nchw", windows, flipped, optimize=True)
+        else:
+            terms = (grad * w[:, i, j, None, None] for i in range(kh) for j in range(kw))
+            grad_x = _fold(terms, x.shape, (kh, kw), stride, padding, dtype)
+        return grad_x, grad_w

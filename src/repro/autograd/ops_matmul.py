@@ -11,7 +11,7 @@ from repro.autograd.im2col import (
     _fold,
     block_diagonal,
     check_conv_operands,
-    col2im,
+    conv_input_grad,
     conv_out_size,
     depthwise_conv,
     depthwise_conv_grads,
@@ -74,7 +74,8 @@ class Conv2dOp(Function):
     A depthwise convolution (one filter per input channel) runs
     :func:`~repro.autograd.im2col.depthwise_conv`; any other grouped
     convolution runs as the dense one of its block-diagonal weights
-    (:func:`~repro.autograd.im2col.block_diagonal`).
+    (:func:`~repro.autograd.im2col.block_diagonal`). A dense backward's
+    ``grad_x`` is :func:`~repro.autograd.im2col.conv_input_grad`.
     """
 
     def forward(self, x, weight, bias, stride: int = 1, padding: int = 0, groups: int = 1):
@@ -103,28 +104,26 @@ class Conv2dOp(Function):
 
         if self.has_bias:
             out = out + np.asarray(bias).reshape(1, oc, 1, 1)
-        self.out_spatial = (oh, ow)
         return np.ascontiguousarray(out)
 
     def backward(self, grad_out):
-        n, c, h, w = self.x_shape
         oc, _, kh, kw = self.weight.shape
         stride, padding, groups = self.stride, self.padding, self.groups
-        oh, ow = self.out_spatial
         grad_b = grad_out.sum(axis=(0, 2, 3)) if self.has_bias else None
 
         if self.depthwise:
             grad_x, grad_w = depthwise_conv_grads(
-                grad_out, self.x, self.weight.reshape(c, kh, kw), stride, padding
+                grad_out, self.x, self.weight.reshape(oc, kh, kw), stride, padding
             )
             grad_w = grad_w.reshape(self.weight.shape)
         else:
-            g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
-            grad_w = _float_matmul(g2.T, self.cols).reshape(self.weight.shape)
+            g = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1))
+            grad_w = _float_matmul(g.reshape(-1, oc).T, self.cols).reshape(self.weight.shape)
             if groups != 1:
                 grad_w = diagonal_blocks(grad_w, groups)
-            grad_cols = _float_matmul(g2, self.weight.reshape(oc, -1))
-            grad_x = col2im(grad_cols, self.x_shape, (kh, kw), stride, padding)
+            grad_x = None
+            if self.parents[0].requires_grad:
+                grad_x = conv_input_grad(g, self.weight, self.x_shape, stride, padding)
 
         return grad_x, grad_w, grad_b, None, None, None
 
@@ -136,7 +135,6 @@ class AvgPool2d(Function):
         self.x_shape = x.shape
         self.kernel, self.stride = kernel, stride
         windows = sliding_windows(x, (kernel, kernel), stride, 0)
-        self.out_spatial = windows.shape[2:4]
         return windows.mean(axis=(4, 5))
 
     def backward(self, grad_out):
@@ -156,16 +154,13 @@ class MaxPool2d(Function):
         n, c, oh, ow = windows.shape[:4]
         flat = windows.reshape(n, c, oh, ow, kernel * kernel)
         self.argmax = flat.argmax(axis=-1)
-        self.out_spatial = (oh, ow)
         return flat.max(axis=-1)
 
     def backward(self, grad_out):
-        n, c, h, w = self.x_shape
         k, s = self.kernel, self.stride
-        oh, ow = self.out_spatial
         grad_x = np.zeros(self.x_shape, dtype=grad_out.dtype)
         ki, kj = np.divmod(self.argmax, k)
-        ni, ci, oi, oj = np.indices((n, c, oh, ow), sparse=False)
+        ni, ci, oi, oj = np.indices(self.argmax.shape, sparse=False)
         np.add.at(grad_x, (ni, ci, oi * s + ki, oj * s + kj), grad_out)
         return (grad_x, None, None)
 

@@ -29,10 +29,9 @@ in its weight operand's ``(kh, kw, c)`` row order
 GE exact GEMM and the backward. A planned forward gathers before it
 unfolds (:meth:`~repro.approx.plan.GemmPlan.execute_conv`), so under
 ``no_grad`` it unfolds nothing. GEMM outputs stay float (their partial
-sums are exact integers). The backward's float GEMMs get ``im2col``'s
-operands, ``grad_w``'s with permuted columns, so their sums keep their
-order; a single output channel's ``grad_w`` (a matrix-vector product,
-whose sum order depends on column position) gets ``im2col``'s columns.
+sums are exact integers). The backward's ``grad_w`` is one GEMM on the
+code columns, and its ``grad_x`` is
+:func:`~repro.autograd.im2col.conv_input_grad`.
 
 Weight-derived state — the weight codes, their clipped-STE mask and the
 forward GEMM plan — is memoized in a
@@ -67,7 +66,7 @@ from repro.autograd.grad_mode import is_grad_enabled
 from repro.autograd.im2col import (
     block_diagonal,
     check_conv_operands,
-    col2im,
+    conv_input_grad,
     conv_out_size,
     depthwise_conv,
     depthwise_conv_grads,
@@ -245,7 +244,6 @@ def _conv_forward(
     fn.has_bias = bias is not None
     oh = conv_out_size(h, kh, stride, padding)
     ow = conv_out_size(w, kw, stride, padding)
-    fn.kernel = (kh, kw)
 
     xq, fn.x_mask = _quantize_codes(x, act_step, act_bits)
     fn.w_step_col = _weight_step_per_channel(w_step, oc)
@@ -293,34 +291,28 @@ def _conv_forward(
 
 def _conv_backward(fn: Function, grad_out: np.ndarray) -> tuple:
     """``(grad_x, grad_w, grad_b)`` of :func:`_conv_forward`: the STE of Eq. 5,
-    scaled by ``(1 + K)`` under gradient estimation."""
-    c = fn.x_shape[1]
-    kh, kw = fn.kernel
+    scaled by ``(1 + K)`` under gradient estimation. A dense ``grad_x`` is
+    ``None`` when the input does not require grad (the stem)."""
+    oc, c, kh, kw = fn.wq.shape  # c is 1 when depthwise
     stride, padding = fn.stride, fn.padding
-    oc = fn.wq.shape[0]
     sx = np.float32(fn.act_step)
     sw_col = fn.w_step_col  # (OC,)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if fn.has_bias else None
 
     if fn.depthwise:
         x_fq = fn.xq.astype(np.float32) * sx
-        w_fq = fn.wq.reshape(c, kh, kw).astype(np.float32) * sw_col[:, None, None]
+        w_fq = fn.wq.reshape(oc, kh, kw).astype(np.float32) * sw_col[:, None, None]
         grad_x, grad_w = depthwise_conv_grads(grad_out * fn.scale, x_fq, w_fq, stride, padding)
         grad_w = grad_w.reshape(fn.wq.shape)
     else:
-        g2 = np.multiply(grad_out.transpose(0, 2, 3, 1), fn.scale, order="C").reshape(-1, oc)
-        x_fq = fn.cols * sx
-        w_fq = fn.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None]
-        if oc == 1:
-            # NumPy's matrix-vector product sums a column in an order that
-            # depends on its position, so this one gets im2col's order.
-            x_fq = x_fq.reshape(-1, kh, kw, c).transpose(0, 3, 1, 2).reshape(len(g2), -1)
-            grad_w = float_matmul(g2.T, x_fq).reshape(fn.wq.shape)
-        else:
-            grad_w = float_matmul(g2.T, x_fq).reshape(oc, kh, kw, c).transpose(0, 3, 1, 2)
-        grad_x = col2im(float_matmul(g2, w_fq), fn.x_shape, (kh, kw), stride, padding)
+        g = np.multiply(grad_out.transpose(0, 2, 3, 1), fn.scale, order="C")
+        grad_w = float_matmul(g.reshape(-1, oc).T, fn.cols) * sx
+        grad_w = grad_w.reshape(oc, kh, kw, c).transpose(0, 3, 1, 2)
+        w_fq = fn.wq.astype(np.float32) * sw_col[:, None, None, None]
+        needs_x = getattr(fn.parents[0], "requires_grad", False)
+        grad_x = conv_input_grad(g, w_fq, fn.x_shape, stride, padding) if needs_x else None
 
-    grad_x = grad_x * fn.x_mask
+    grad_x = None if grad_x is None else np.multiply(grad_x, fn.x_mask, order="C")
     grad_w = grad_w * fn.w_mask
     if fn.groups != 1:
         grad_w = diagonal_blocks(grad_w, fn.groups)
@@ -360,8 +352,8 @@ class QuantLinearFunction(Function):
 
     def backward(self, grad_out):
         grad_x, grad_w, grad_b = _conv_backward(self, grad_out[:, :, None, None])
-        grad_x, grad_w = grad_x.reshape(grad_x.shape[:2]), grad_w.reshape(grad_w.shape[:2])
-        return (grad_x, grad_w, grad_b) + (None,) * 6
+        grad_x = None if grad_x is None else grad_x.reshape(grad_x.shape[:2])
+        return (grad_x, grad_w.reshape(grad_w.shape[:2]), grad_b) + (None,) * 6
 
 
 class QuantConv2dFunction(Function):

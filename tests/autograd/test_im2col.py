@@ -6,7 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import col2im, conv_out_size, im2col, sliding_windows
-from repro.autograd.im2col import unfold_nhwc
+from repro.autograd.im2col import (
+    conv_input_grad,
+    depthwise_conv,
+    depthwise_conv_grads,
+    unfold_nhwc,
+)
 from repro.errors import ShapeError
 
 
@@ -142,6 +147,74 @@ class TestNhwcLayout:
         lhs = float((cols * g).sum())
         rhs = float((x * col2im(back, x.shape, (k, k), stride, padding)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-6)
+
+
+def _conv_nhwc(x, w, stride, padding):
+    """The dense convolution of NCHW ``x`` with ``w`` as NHWC ``(N, OH, OW, OC)``."""
+    cols, (oh, ow) = im2col(x, w.shape[2:], stride, padding)
+    return (cols @ w.reshape(len(w), -1).T).reshape(len(x), oh, ow, len(w))
+
+
+class TestConvInputGrad:
+    """A dense conv's input gradient: transposed conv, 1×1 GEMM or col2im fold."""
+
+    @pytest.mark.parametrize("k, stride, padding", NHWC_CASES)
+    def test_adjoint_of_the_convolution(self, rng, k, stride, padding):
+        # <conv(x, w), g> == <x, conv_input_grad(g, w)> in float64.
+        x = rng.normal(size=(2, 3, 9, 7))
+        w = rng.normal(size=(4, 3, k, k))
+        y = _conv_nhwc(x, w, stride, padding)
+        g = rng.normal(size=y.shape)
+        lhs = float((y * g).sum())
+        rhs = float((x * conv_input_grad(g, w, x.shape, stride, padding)).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 5),
+        oc=st.sampled_from([1, 2, 7]),
+        h=st.integers(3, 9),
+        k=st.sampled_from([1, 3]),
+        stride=st.integers(1, 2),
+        padding=st.integers(0, 2),
+        depthwise=st.booleans(),
+    )
+    @example(n=2, c=4, oc=1, h=8, k=3, stride=1, padding=1, depthwise=False)
+    @example(n=2, c=4, oc=4, h=8, k=3, stride=1, padding=2, depthwise=True)
+    @example(n=2, c=4, oc=4, h=7, k=1, stride=2, padding=0, depthwise=False)
+    def test_matches_the_col2im_formula(self, n, c, oc, h, k, stride, padding, depthwise):
+        # float32 grad_x within rtol 1e-5 of col2im(g2 @ w), the formula
+        # every conv used before; sums that cancel get a few ulps of atol.
+        if h + 2 * padding < k:
+            return
+        rng = np.random.default_rng([n, c, oc, h, k, stride, padding, depthwise])
+        x_shape, oh = (n, c, h, h), conv_out_size(h, k, stride, padding)
+        if depthwise:
+            w = rng.normal(size=(c, k, k)).astype(np.float32)
+            g = rng.normal(size=(n, c, oh, oh)).astype(np.float32)
+            x = rng.normal(size=x_shape).astype(np.float32)
+            actual, _ = depthwise_conv_grads(g, x, w, stride, padding)
+            cols = g.transpose(0, 2, 3, 1)[..., None, None] * w  # (n, oh, ow, c, k, k)
+            expected = col2im(cols.reshape(-1, c * k * k), x_shape, (k, k), stride, padding)
+        else:
+            w = rng.normal(size=(oc, c, k, k)).astype(np.float32)
+            g = rng.normal(size=(n, oh, oh, oc)).astype(np.float32)
+            actual = conv_input_grad(g, w, x_shape, stride, padding)
+            cols = g.reshape(-1, oc) @ w.reshape(oc, -1)
+            expected = col2im(cols, x_shape, (k, k), stride, padding)
+        assert actual.shape == x_shape and actual.dtype == np.float32
+        atol = 1e-6 * np.abs(expected).max()
+        np.testing.assert_allclose(actual, expected, rtol=1e-5, atol=atol)
+
+    def test_depthwise_input_grad_is_the_flipped_conv_adjoint(self, rng):
+        # <depthwise_conv(x, w), g> == <x, grad_x> in float64, stride 1 and 2.
+        for stride in (1, 2):
+            x, w = rng.normal(size=(2, 4, 9, 9)), rng.normal(size=(4, 3, 3))
+            g = rng.normal(size=depthwise_conv(x, w, stride, 1).shape)
+            grad_x, _ = depthwise_conv_grads(g, x, w, stride, 1)
+            lhs = float((depthwise_conv(x, w, stride, 1) * g).sum())
+            assert lhs == pytest.approx(float((x * grad_x).sum()), rel=1e-12)
 
 
 class TestSlidingWindows:

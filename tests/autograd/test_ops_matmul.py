@@ -78,6 +78,14 @@ class TestConv2d:
         b = t64(rng.normal(size=(4,)), 0.1)
         check_gradients(lambda x, w, b: conv2d(x, w, b, 2, 1), [x, w, b])
 
+    @pytest.mark.parametrize("k, stride, padding", [(3, 1, 1), (3, 1, 0), (1, 1, 0), (1, 2, 0)])
+    def test_gradient_dense_input_grad_branches(self, rng, k, stride, padding):
+        # The transposed convolution, padded and not, the 1×1 GEMM and a
+        # strided 1×1 kernel's col2im; test_gradient_dense has a strided 3×3.
+        x = t64(rng.normal(size=(2, 3, 6, 6)), 0.5)
+        w = t64(rng.normal(size=(4, 3, k, k)), 0.2)
+        check_gradients(lambda x, w: conv2d(x, w, None, stride, padding), [x, w])
+
     def test_gradient_depthwise(self, rng):
         x = t64(rng.normal(size=(2, 4, 5, 5)), 0.5)
         w = t64(rng.normal(size=(4, 1, 3, 3)), 0.3)

@@ -1,6 +1,8 @@
 """Quantized layer behaviour: calibration lifecycle, integer execution,
 approximate multipliers and gradient estimation hooks."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,30 @@ class TestGradients:
         qlin.weight.zero_grad()
         qlin(x).sum().backward()
         np.testing.assert_allclose(qlin.weight.grad, ste_grad)
+
+    def test_input_gradient_nobody_reads_is_skipped(self, qconv, rng, monkeypatch):
+        """A stem conv's input does not require grad: neither the quantized
+        nor the float conv computes its input gradient, and the weight
+        gradients are unchanged."""
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+
+        def weight_grads(requires_grad):
+            qconv.weight.zero_grad()
+            w = Tensor(qconv.weight.data.copy(), requires_grad=True)
+            qconv(Tensor(x, requires_grad=requires_grad)).sum().backward()
+            conv2d(Tensor(x, requires_grad=requires_grad), w, None, 1, 1).sum().backward()
+            return qconv.weight.grad.tobytes(), w.grad.tobytes()
+
+        expected = weight_grads(True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed an input gradient nobody reads")
+
+        monkeypatch.setattr("repro.quant.qfunction.conv_input_grad", refuse)
+        monkeypatch.setattr("repro.autograd.ops_matmul.conv_input_grad", refuse)
+        # The package re-exports im2col under the module's own name.
+        monkeypatch.setattr(importlib.import_module("repro.autograd.im2col"), "col2im", refuse)
+        assert weight_grads(False) == expected
 
     def test_clipped_ste_blocks_out_of_range_activations(self, qlin):
         x = Tensor(np.full((1, 8), 100.0, dtype=np.float32), requires_grad=True)

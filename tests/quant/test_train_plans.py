@@ -183,14 +183,14 @@ class TestNoIntegerIm2col:
             reference = _train(build, xs, gs)
         _assert_histories_identical(reference, _train(build, xs, gs), "cached")
 
-    @pytest.mark.parametrize("oc", [48, 1])
     @pytest.mark.parametrize("name", [None, "truncated5"])
-    def test_gradients_equal_the_im2col_formulas(self, rng, name, oc):
-        # The backward reads float (kh, kw, c) columns; its GEMMs must still
-        # sum what the im2col formulation sums, bit for bit. At 48 output
-        # channels BLAS would sum a transposed grad_x GEMM in another order;
-        # at one, NumPy's matrix-vector grad_w would sum permuted columns in
-        # another order.
+    def test_gradients_match_im2col_to_rtol(self, rng, name):
+        # The backward reads float (kh, kw, c) columns, rescales grad_w
+        # after its GEMM and computes grad_x as a transposed convolution,
+        # so both sum in another order than the im2col formulas: they
+        # agree to float32 rounding, not bit for bit. Cached and uncached
+        # training share this backward (TestTrainingBitwiseEquivalence).
+        oc = 48
         layer = QuantConv2d(8, oc, 3, padding=1, rng=np.random.default_rng(4))
         layer.act_step, layer.weight_step = 1 / 16, 1 / 8
         if name is not None:
@@ -210,8 +210,9 @@ class TestNoIntegerIm2col:
         w_fq = wq.reshape(oc, -1).astype(np.float32) * np.float32(1 / 8)
         grad_w = (g2.T @ x_fq).reshape(wq.shape) * w_mask
         grad_x = col2im(g2 @ w_fq, x.shape, (3, 3), 1, 1) * x_mask
-        assert layer.weight.grad.tobytes() == grad_w.tobytes()
-        assert x.grad.tobytes() == grad_x.tobytes()
+        for actual, expected in ((layer.weight.grad, grad_w), (x.grad, grad_x)):
+            atol = 1e-6 * np.abs(expected).max()  # sums that cancel to near zero
+            np.testing.assert_allclose(actual, expected, rtol=1e-5, atol=atol)
 
 
 class TestRevalidation:
